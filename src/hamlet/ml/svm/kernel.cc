@@ -1,10 +1,6 @@
 #include "hamlet/ml/svm/kernel.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cmath>
-
-#include "hamlet/data/packed_code_matrix.h"
 
 namespace hamlet {
 namespace ml {
@@ -56,33 +52,6 @@ double PackedKernelEval(const KernelConfig& config, simd::Backend backend,
                         const uint64_t* b) {
   const size_t matches = simd::PackedMatchCount(backend, layout, a, b);
   return KernelFromMatches(config, matches, layout.num_features);
-}
-
-std::vector<float> ComputeGram(const KernelConfig& config,
-                               const std::vector<uint32_t>& rows, size_t n,
-                               size_t d) {
-  assert(rows.size() == n * d);
-  // This path has no domain metadata, so the layout derives from the
-  // largest code actually present; the match counts (and therefore every
-  // Gram entry) do not depend on the layout choice.
-  uint32_t max_code = 0;
-  for (const uint32_t c : rows) max_code = std::max(max_code, c);
-  const simd::PackedLayout layout = simd::PackedLayout::ForMaxCode(max_code, d);
-  const PackedCodeMatrix packed(layout, rows.data(), n);
-  const simd::Backend backend = simd::ActiveBackend();
-  std::vector<float> gram(n * n);
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t* ri = packed.row(i);
-    for (size_t j = i; j < n; ++j) {
-      const float v = static_cast<float>(
-          PackedKernelEval(config, backend, layout, ri, packed.row(j)));
-      gram[i * n + j] = v;
-      gram[j * n + i] = v;
-    }
-  }
-  const uint64_t evals = static_cast<uint64_t>(n) * (n + 1) / 2;
-  simd::AccumulatePackedEvals(evals, evals * layout.words_per_row);
-  return gram;
 }
 
 }  // namespace ml

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "hamlet/simd/simd.h"
 
@@ -59,14 +58,6 @@ double KernelEval(const KernelConfig& config, const uint32_t* a,
 double PackedKernelEval(const KernelConfig& config, simd::Backend backend,
                         const simd::PackedLayout& layout, const uint64_t* a,
                         const uint64_t* b);
-
-/// Dense symmetric Gram matrix over `rows` (n rows of length d, row-major),
-/// stored row-major as n*n floats. The production fit path computes rows
-/// lazily instead (ml::KernelCache); this full materialisation remains
-/// for the FullGramRowSource adapter, parity tests and ad-hoc analysis.
-std::vector<float> ComputeGram(const KernelConfig& config,
-                               const std::vector<uint32_t>& rows, size_t n,
-                               size_t d);
 
 }  // namespace ml
 }  // namespace hamlet

@@ -69,14 +69,12 @@ KernelCache::KernelCache(CodeMatrix matrix, const KernelConfig& kernel,
   const size_t n = matrix_.num_rows();
   if (cache_bytes == 0) cache_bytes = KernelCacheBytesFromEnv();
   const size_t row_bytes = (n == 0 ? 1 : n) * sizeof(float);
-  // Clamp to [1, max(n, 1)] rows: always one cacheable row, never more
-  // slots than the problem has rows (an empty matrix keeps a single
-  // dummy slot instead of budget/4 phantom ones).
-  size_t rows = cache_bytes / row_bytes;
-  if (rows < 1) rows = 1;
-  const size_t max_rows = n > 0 ? n : 1;
-  if (rows > max_rows) rows = max_rows;
-  capacity_rows_ = rows;
+  // Clamp to [2, max(n, 1)] rows: two cacheable rows for the solver's
+  // pairwise update, never more slots than the problem has rows (an
+  // empty matrix keeps a single dummy slot instead of budget/4 phantom
+  // ones).
+  capacity_rows_ = std::min(std::max(cache_bytes / row_bytes, size_t{2}),
+                            std::max(n, size_t{1}));
   diag_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     const uint64_t* ri = packed_.row(i);
@@ -109,10 +107,10 @@ bool KernelCache::Cached(size_t i) const {
 void KernelCache::ComputeRow(size_t i, float* out) const {
   const simd::PackedLayout& layout = packed_.layout();
   const uint64_t* ri = packed_.row(i);
-  // Same double->float narrowing as ComputeGram, so a cached row entry is
-  // bit-identical to the corresponding full-Gram entry. Under an active
-  // restriction only the restricted columns are computed; the others stay
-  // whatever the slot held before (callers must not read them).
+  // Each entry is the kernel value narrowed to float, bit-identical to
+  // At() and Diag(). Under an active restriction only the restricted
+  // columns are computed; the others stay whatever the slot held before
+  // (callers must not read them).
   size_t cols;
   if (restrict_idx_.empty()) {
     const size_t n = matrix_.num_rows();

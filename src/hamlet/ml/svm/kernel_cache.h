@@ -1,11 +1,12 @@
 // Lazy kernel-row LRU cache for the SMO solver (libsvm-style).
 //
-// The previous SVM fit path materialised the full n x n Gram matrix
-// upfront even though SMO only touches a handful of rows per working-set
-// pass. KernelCache owns the dense CodeMatrix snapshot of the training
-// view and computes kernel rows on demand via KernelEval, keeping the
-// most-recently-used rows resident under a byte budget. Peak memory drops
-// from O(n^2) to O(min(n, budget/row)) and early-converging grid cells
+// SMO only touches a handful of kernel rows per working-set pass, so the
+// fit path never materialises the full n x n Gram matrix. KernelCache
+// owns the dense CodeMatrix snapshot of the training view and computes
+// kernel rows on demand (packed, bit-identical to KernelEval), keeping
+// the most-recently-used rows resident under a byte budget of at least
+// two rows (the pairwise update reads rows i and j together). Peak
+// memory is O(min(n, budget/row)) rows and early-converging grid cells
 // skip most of the Gram entirely; because grid search fits many (C,
 // gamma) cells concurrently over the same training view, the saving
 // multiplies across the whole grid.
@@ -64,8 +65,9 @@ class KernelCache : public KernelRowSource {
  public:
   /// Takes ownership of `matrix` (the training snapshot) and computes
   /// rows with `kernel`. `cache_bytes` is the resident-row budget in
-  /// bytes; 0 means KernelCacheBytesFromEnv(). At least one row is always
-  /// cacheable, and the budget is clamped to n rows (a full cache).
+  /// bytes; 0 means KernelCacheBytesFromEnv(). The budget is clamped to
+  /// at least min(2, n) rows — the solver's pairwise update holds two
+  /// rows at once — and at most n rows (a full cache).
   KernelCache(CodeMatrix matrix, const KernelConfig& kernel,
               size_t cache_bytes = 0);
   ~KernelCache() override;
@@ -73,9 +75,10 @@ class KernelCache : public KernelRowSource {
   KernelCache(const KernelCache&) = delete;
   KernelCache& operator=(const KernelCache&) = delete;
 
-  /// Kernel row i (n floats, identical bit pattern to ComputeGram's row).
-  /// The pointer is valid until the next Row() call on this cache —
-  /// until the next call for a DIFFERENT row when CanServeTwoRows().
+  /// Kernel row i: n floats, each KernelEval narrowed to float. With
+  /// capacity >= 2 the most-recently-used row is never the eviction
+  /// victim, so the pointer survives one subsequent Row() call for a
+  /// different row.
   /// While an active restriction is installed (RestrictActive), only the
   /// restricted entries of the returned row are valid: a miss computes
   /// just those columns, so shrunk SMO sweeps never fault in dead ones.
@@ -102,9 +105,6 @@ class KernelCache : public KernelRowSource {
   void ClearActiveRestriction() override;
 
   size_t size() const override { return matrix_.num_rows(); }
-  /// With capacity >= 2 the most-recently-used row is never the eviction
-  /// victim, so a fetched row survives one subsequent fetch.
-  bool CanServeTwoRows() const override { return capacity_rows_ >= 2; }
   uint64_t hits() const override { return hits_; }
   uint64_t misses() const override { return misses_; }
 

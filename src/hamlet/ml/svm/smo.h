@@ -4,26 +4,19 @@
 //          s.t.   0 <= a_i <= C,  sum_i a_i y_i = 0
 // using Platt-style pairwise updates with an error cache maintained over
 // an active set. Working-set selection is LIBSVM-style second-order
-// (WSS2) by default: i maximises the gradient violation over I_up, j
-// maximises the quadratic gain (G_i - G_j)^2 / max(eta, tau) over the
-// violating I_low candidates, using the cached kernel diagonal plus the
-// single kernel row for i. Shrinking periodically deactivates
-// bound-pinned points whose gradients cannot re-enter the working set;
-// before convergence is declared the solver reconstructs the full
-// gradient and unshrinks, so the returned solution is tolerance-exact on
-// the full problem. Both accelerations can be disabled
-// (SmoConfig::use_wss2 / use_shrinking, env HAMLET_SMO_WSS2 /
-// HAMLET_SMO_SHRINK); with both off the solver runs the historical
-// first-order max-violating-pair loop bit-identically.
+// (WSS2): i maximises the gradient violation over I_up, j maximises the
+// quadratic gain (G_i - G_j)^2 / max(eta, tau) over the violating I_low
+// candidates, using the cached kernel diagonal plus the single kernel row
+// for i. Shrinking periodically deactivates bound-pinned points whose
+// gradients cannot re-enter the working set; before convergence is
+// declared the solver reconstructs the full gradient and unshrinks, so
+// the returned solution is tolerance-exact on the full problem.
 //
-// Kernel rows are supplied by a KernelRowSource: either the lazy LRU
-// KernelCache (the production path, see kernel_cache.h) or a precomputed
-// full Gram matrix wrapped in FullGramRowSource. A source whose row
-// pointers cannot survive one subsequent fetch (CanServeTwoRows() ==
-// false, e.g. a 1-row cache) has row i staged through a solver-side
-// scratch copy; either way the arithmetic consumes identical float
-// values in identical order, so the solution is bit-identical for any
-// row source and any cache size.
+// Kernel rows are supplied by a KernelRowSource — in production the lazy
+// LRU KernelCache (see kernel_cache.h); tests substitute dense fakes. The
+// arithmetic consumes identical float values in identical order for any
+// source, so the solution is bit-identical for any row source and any
+// cache size.
 
 #ifndef HAMLET_ML_SVM_SMO_H_
 #define HAMLET_ML_SVM_SMO_H_
@@ -36,44 +29,11 @@
 namespace hamlet {
 namespace ml {
 
-/// Tri-state switch for solver accelerations that default to an
-/// environment lookup. kEnv resolves HAMLET_SMO_WSS2 /
-/// HAMLET_SMO_SHRINK at solve time (both default ON when unset); tests
-/// and callers that must pin a path use kOn/kOff, which ignore the
-/// environment entirely.
-enum class SmoToggle : uint8_t {
-  kEnv = 0,
-  kOn,
-  kOff,
-};
-
-/// HAMLET_SMO_WSS2 resolved to a bool: unset/empty/1/on/true/yes = true,
-/// 0/off/false/no = false; anything else warns on stderr once per
-/// distinct value and falls back to true (the default).
-bool SmoWss2FromEnv();
-
-/// HAMLET_SMO_SHRINK with the same grammar and default as SmoWss2FromEnv.
-bool SmoShrinkFromEnv();
-
 /// Solver parameters.
 struct SmoConfig {
   double C = 1.0;
   double tolerance = 1e-3;      ///< KKT violation tolerance
   size_t max_iterations = 20000;  ///< pairwise-update budget
-  /// Kernel-row cache budget in bytes for callers that build a
-  /// KernelCache (KernelSvm::Fit). 0 = resolve via HAMLET_SMO_CACHE_MB /
-  /// the 64 MiB default (KernelCacheBytesFromEnv). The solver itself is
-  /// agnostic: it uses whatever KernelRowSource it is handed.
-  size_t cache_bytes = 0;
-  /// Second-order working-set selection. kOff restores the historical
-  /// first-order max-violating-pair loop (bit-identical when
-  /// use_shrinking is also off).
-  SmoToggle use_wss2 = SmoToggle::kEnv;
-  /// Periodic deactivation of bound-pinned points (LIBSVM shrinking).
-  /// The solver always reconstructs the full gradient and unshrinks
-  /// before declaring convergence, so the solution is tolerance-exact on
-  /// the full problem either way.
-  SmoToggle use_shrinking = SmoToggle::kEnv;
 };
 
 /// Solver output: dual coefficients and intercept.
@@ -89,8 +49,8 @@ struct SmoSolution {
   size_t iterations = 0;
   bool converged = false;
   size_t num_support_vectors = 0;
-  /// Row-source counters (KernelCache hits/misses; a FullGramRowSource
-  /// counts every access as a hit). hits + misses = total row fetches.
+  /// Row-source counters (KernelCache hits/misses).
+  /// hits + misses = total row fetches.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   /// Shrink passes that deactivated at least one point.
@@ -120,8 +80,9 @@ SmoTotals GlobalSmoTotals();
 void ResetGlobalSmoTotals();
 
 /// Supplier of kernel matrix rows to the solver. Row(i) returns n floats
-/// K(x_i, x_t); the pointer is only guaranteed valid until the next
-/// Row() call (a bounded cache may evict the backing storage).
+/// K(x_i, x_t); the pointer stays valid across ONE subsequent Row() call
+/// for a different index (the pairwise update reads rows i and j
+/// together), and no longer (a bounded cache may evict the storage).
 class KernelRowSource {
  public:
   virtual ~KernelRowSource() = default;
@@ -156,43 +117,8 @@ class KernelRowSource {
   /// Lifts the restriction: subsequent Row() calls serve fully valid
   /// rows again (gradient reconstruction needs the dead columns).
   virtual void ClearActiveRestriction() {}
-  /// True when a returned row pointer additionally survives ONE
-  /// subsequent Row() call for a different index (the source can hold
-  /// two rows at once). The solver then reads the pair (i, j) directly
-  /// instead of staging row i through a scratch copy; the float values
-  /// are identical either way, so solutions stay bit-identical.
-  virtual bool CanServeTwoRows() const { return true; }
   virtual uint64_t hits() const { return 0; }
   virtual uint64_t misses() const { return 0; }
-};
-
-/// Thin adapter presenting a precomputed n x n row-major Gram matrix as a
-/// row source. Keeps the historical SolveSmo(gram, ...) entry point and
-/// the tests' hand-crafted Gram matrices working; every access counts as
-/// a hit (the matrix is fully materialised) and active restrictions are
-/// no-ops (full rows are always valid).
-class FullGramRowSource : public KernelRowSource {
- public:
-  /// `gram` must outlive the adapter and hold n*n floats.
-  FullGramRowSource(const std::vector<float>& gram, size_t n)
-      : gram_(gram), n_(n), diag_(n) {
-    for (size_t i = 0; i < n; ++i) diag_[i] = gram[i * n + i];
-  }
-
-  const float* Row(size_t i) override {
-    ++hits_;
-    return gram_.data() + i * n_;
-  }
-  float At(size_t i, size_t j) const override { return gram_[i * n_ + j]; }
-  const float* Diag() const override { return diag_.data(); }
-  size_t size() const override { return n_; }
-  uint64_t hits() const override { return hits_; }
-
- private:
-  const std::vector<float>& gram_;
-  size_t n_;
-  std::vector<float> diag_;
-  uint64_t hits_ = 0;
 };
 
 /// Platt's endpoint-objective rule for a degenerate-curvature pair
@@ -226,12 +152,6 @@ size_t SelectWss2J(const float* row_i, const float* diag,
 /// Runs SMO against `rows` (n x n kernel values served row by row);
 /// `y` holds labels in {-1, +1} and y.size() must equal rows.size().
 Result<SmoSolution> SolveSmo(KernelRowSource& rows,
-                             const std::vector<int8_t>& y,
-                             const SmoConfig& config);
-
-/// Historical entry point: `gram` is the full n x n kernel matrix
-/// (row-major float). Wraps it in FullGramRowSource and solves.
-Result<SmoSolution> SolveSmo(const std::vector<float>& gram,
                              const std::vector<int8_t>& y,
                              const SmoConfig& config);
 

@@ -60,10 +60,7 @@ Status KernelSvm::Fit(const DataView& train) {
   smo_cfg.C = config_.C;
   smo_cfg.tolerance = config_.tolerance;
   smo_cfg.max_iterations = config_.max_iterations;
-  smo_cfg.cache_bytes = config_.smo_cache_bytes;
-  smo_cfg.use_wss2 = config_.smo_wss2;
-  smo_cfg.use_shrinking = config_.smo_shrinking;
-  KernelCache cache(std::move(m), config_.kernel, smo_cfg.cache_bytes);
+  KernelCache cache(std::move(m), config_.kernel, config_.smo_cache_bytes);
   Result<SmoSolution> sol = SolveSmo(cache, y, smo_cfg);
   if (!sol.ok()) return sol.status();
 

@@ -34,16 +34,11 @@ struct SvmConfig {
   /// (JoinAll/NoJoin/NoFK) sees the same subsample.
   size_t max_train_rows = 0;
   /// Kernel-row cache budget in bytes for the SMO solve (see
-  /// SmoConfig::cache_bytes). 0 = HAMLET_SMO_CACHE_MB or the 64 MiB
-  /// default. The solve is bit-identical at any budget; only speed and
-  /// memory change. Tests pin tiny budgets through this knob.
+  /// KernelCache). 0 = HAMLET_SMO_CACHE_MB or the 64 MiB default; at
+  /// least two rows are always cached. The solve is bit-identical at any
+  /// budget; only speed and memory change. Tests pin tiny budgets
+  /// through this knob.
   size_t smo_cache_bytes = 0;
-  /// Solver accelerations (see SmoConfig): second-order working-set
-  /// selection and shrinking, both defaulting to the environment
-  /// (HAMLET_SMO_WSS2 / HAMLET_SMO_SHRINK, on unless disabled). Tests
-  /// pin kOn/kOff to compare the paths.
-  SmoToggle smo_wss2 = SmoToggle::kEnv;
-  SmoToggle smo_shrinking = SmoToggle::kEnv;
 };
 
 /// C-SVC with categorical-native kernels.

@@ -1,8 +1,9 @@
 // Tests for ml::KernelCache and the cached-row SMO parity contract: the
-// lazy LRU row cache must serve rows bit-identical to ComputeGram, evict
-// in LRU order under its byte budget, and leave the SMO solution (alpha,
-// bias, iterations, predictions) bit-identical to the full-Gram adapter
-// at any cache size and thread count.
+// lazy LRU row cache must serve rows bit-identical to the scalar
+// reference Gram (tests/smo_reference.h), evict in LRU order under its
+// byte budget, and leave the SMO solution (alpha, bias, iterations,
+// predictions) bit-identical to a solve over the dense Gram at any cache
+// size and thread count.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "hamlet/ml/svm/smo.h"
 #include "hamlet/ml/svm/svm.h"
 #include "parity_util.h"
+#include "smo_reference.h"
 
 namespace hamlet {
 namespace ml {
@@ -60,18 +62,19 @@ const std::vector<KernelConfig>& AllKernels() {
 
 // ------------------------------------------------------------ KernelCache --
 
-TEST(KernelCacheTest, RowsBitIdenticalToComputeGram) {
+TEST(KernelCacheTest, RowsBitIdenticalToScalarGram) {
   const SmoProblem p(11);
   for (const KernelConfig& kc : AllKernels()) {
     const CodeMatrix m(p.train);
     const size_t n = m.num_rows();
     const std::vector<float> gram =
-        ComputeGram(kc, m.codes(), n, m.num_features());
-    // Capacity 1 forces a recompute on every access; recomputed rows must
-    // still match the full Gram exactly.
-    KernelCache cache(CodeMatrix(p.train), kc, BytesForRows(1, n));
+        test::ReferenceGram(kc, m.codes(), n, m.num_features());
+    // The minimum capacity (2 rows) recomputes on every access of a
+    // sequential sweep; recomputed rows must still match the full Gram
+    // exactly.
+    KernelCache cache(CodeMatrix(p.train), kc, BytesForRows(2, n));
     ASSERT_EQ(cache.size(), n);
-    EXPECT_EQ(cache.capacity_rows(), 1u);
+    EXPECT_EQ(cache.capacity_rows(), 2u);
     for (size_t i = 0; i < n; ++i) {
       const float* row = cache.Row(i);
       for (size_t t = 0; t < n; ++t) {
@@ -128,11 +131,33 @@ TEST(KernelCacheTest, UnboundedBudgetCachesEveryRowOnce) {
   EXPECT_EQ(cache.resident_rows(), n);
 }
 
-TEST(KernelCacheTest, TinyBudgetStillHoldsOneRow) {
+TEST(KernelCacheTest, TinyBudgetClampsToTwoRows) {
+  // The solver's pairwise update reads rows i and j together, so any
+  // budget below two rows is raised to two.
   const SmoProblem p(14);
-  KernelCache cache(CodeMatrix(p.train), AllKernels()[0], 1);
-  EXPECT_EQ(cache.capacity_rows(), 1u);
-  EXPECT_NE(cache.Row(0), nullptr);
+  const size_t n = CodeMatrix(p.train).num_rows();
+  for (const size_t cache_bytes : {size_t{1}, BytesForRows(1, n)}) {
+    KernelCache cache(CodeMatrix(p.train), AllKernels()[0], cache_bytes);
+    EXPECT_EQ(cache.capacity_rows(), 2u) << "cache_bytes=" << cache_bytes;
+    const float* row0 = cache.Row(0);
+    cache.Row(1);
+    EXPECT_TRUE(cache.Cached(0));  // row 0 survives the next fetch
+    EXPECT_EQ(row0, cache.Row(0));
+  }
+}
+
+TEST(KernelCacheTest, TwoRowFloorNeverExceedsRowCount) {
+  // The two-row minimum is min(2, n): a 1-row problem gets one slot, and
+  // an empty one keeps a single dummy slot.
+  const SmoProblem p(15);
+  KernelCache one(CodeMatrix(p.train, 1), AllKernels()[2], 1);
+  EXPECT_EQ(one.size(), 1u);
+  EXPECT_EQ(one.capacity_rows(), 1u);
+  EXPECT_FLOAT_EQ(one.Row(0)[0], 1.0f);  // rbf self-similarity
+  EXPECT_EQ(one.misses(), 1u);
+  KernelCache empty(CodeMatrix{}, AllKernels()[2], 1);
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(empty.capacity_rows(), 1u);
 }
 
 TEST(KernelCacheTest, DiagMatchesGramDiagonal) {
@@ -141,9 +166,9 @@ TEST(KernelCacheTest, DiagMatchesGramDiagonal) {
   const size_t n = probe.num_rows();
   for (const KernelConfig& kc : AllKernels()) {
     const std::vector<float> gram =
-        ComputeGram(kc, probe.codes(), n, probe.num_features());
+        test::ReferenceGram(kc, probe.codes(), n, probe.num_features());
     KernelCache cache(CodeMatrix(p.train), kc, kUnbounded);
-    FullGramRowSource full(gram, n);
+    test::FullGramRowSource full(gram, n);
     for (size_t i = 0; i < n; ++i) {
       ASSERT_EQ(cache.Diag()[i], gram[i * n + i])
           << KernelTypeName(kc.type) << " i=" << i;
@@ -159,7 +184,7 @@ TEST(KernelCacheTest, RestrictActiveComputesOnlyActiveColumns) {
   ASSERT_GE(n, 12u);
   const KernelConfig kc = AllKernels()[2];
   const std::vector<float> gram =
-      ComputeGram(kc, probe.codes(), n, probe.num_features());
+      test::ReferenceGram(kc, probe.codes(), n, probe.num_features());
   KernelCache cache(CodeMatrix(p.train), kc, kUnbounded);
 
   // A row computed before any restriction is full and stays valid.
@@ -253,50 +278,44 @@ TEST(KernelCacheEnvTest, GarbageAndZeroFallBackToDefault) {
 
 // ------------------------------------------------------------- SMO parity --
 
-/// The cached solver must be bit-identical to the full-Gram adapter:
-/// same alpha bits, same bias, same iteration count, same support-vector
-/// set, at every cache size — on BOTH solver paths (second-order +
-/// shrinking, and the legacy first-order loop) — because the solver
-/// stages rows through a scratch copy, never branches on cache
-/// residency, and the cache serves ComputeGram-identical floats (partial
-/// rows included: the restricted entries are the only ones read).
+/// The cached solver must be bit-identical to a solve over the dense
+/// scalar Gram: same alpha bits, same bias, same iteration count, same
+/// support-vector set, at every cache size down to the 2-row minimum —
+/// because the solver never branches on cache residency and the cache
+/// serves floats identical to the Gram (partial rows included: the
+/// restricted entries are the only ones read).
 TEST(SmoCacheParityTest, SolutionBitIdenticalAtAllCacheSizes) {
   const SmoProblem p(21);
-  for (const bool modern : {false, true}) {
-    SmoConfig cfg;
-    cfg.C = 5.0;
-    cfg.use_wss2 = modern ? SmoToggle::kOn : SmoToggle::kOff;
-    cfg.use_shrinking = modern ? SmoToggle::kOn : SmoToggle::kOff;
-    for (const KernelConfig& kc : AllKernels()) {
-      const CodeMatrix m(p.train);
-      const size_t n = m.num_rows();
-      const std::vector<float> gram =
-          ComputeGram(kc, m.codes(), n, m.num_features());
-      const Result<SmoSolution> base = SolveSmo(gram, p.y, cfg);
-      ASSERT_TRUE(base.ok());
-      ASSERT_GT(base.value().num_support_vectors, 0u);
+  SmoConfig cfg;
+  cfg.C = 5.0;
+  for (const KernelConfig& kc : AllKernels()) {
+    const CodeMatrix m(p.train);
+    const size_t n = m.num_rows();
+    const std::vector<float> gram =
+        test::ReferenceGram(kc, m.codes(), n, m.num_features());
+    const Result<SmoSolution> base = test::SolveSmoOnGram(gram, p.y, cfg);
+    ASSERT_TRUE(base.ok());
+    ASSERT_GT(base.value().num_support_vectors, 0u);
 
-      for (size_t cache_bytes :
-           {BytesForRows(1, n), BytesForRows(2, n), kUnbounded}) {
-        KernelCache cache(CodeMatrix(p.train), kc, cache_bytes);
-        const Result<SmoSolution> cached = SolveSmo(cache, p.y, cfg);
-        ASSERT_TRUE(cached.ok());
-        const SmoSolution& a = base.value();
-        const SmoSolution& b = cached.value();
-        EXPECT_EQ(a.alpha, b.alpha)
-            << KernelTypeName(kc.type) << " modern=" << modern;  // bitwise
-        EXPECT_EQ(a.bias, b.bias) << KernelTypeName(kc.type);
-        EXPECT_EQ(a.iterations, b.iterations);
-        EXPECT_EQ(a.converged, b.converged);
-        EXPECT_EQ(a.num_support_vectors, b.num_support_vectors);
-        EXPECT_EQ(a.shrink_events, b.shrink_events);
-        EXPECT_EQ(a.unshrink_events, b.unshrink_events);
-        // Identical iterate sequences fetch identical row sequences: the
-        // adapter counts every fetch as a hit, the cache splits the same
-        // total into hits + misses.
-        EXPECT_EQ(a.cache_hits, b.cache_hits + b.cache_misses);
-        EXPECT_GT(b.cache_misses, 0u);
-      }
+    for (size_t cache_bytes :
+         {BytesForRows(2, n), BytesForRows(8, n), kUnbounded}) {
+      KernelCache cache(CodeMatrix(p.train), kc, cache_bytes);
+      const Result<SmoSolution> cached = SolveSmo(cache, p.y, cfg);
+      ASSERT_TRUE(cached.ok());
+      const SmoSolution& a = base.value();
+      const SmoSolution& b = cached.value();
+      EXPECT_EQ(a.alpha, b.alpha) << KernelTypeName(kc.type);  // bitwise
+      EXPECT_EQ(a.bias, b.bias) << KernelTypeName(kc.type);
+      EXPECT_EQ(a.iterations, b.iterations);
+      EXPECT_EQ(a.converged, b.converged);
+      EXPECT_EQ(a.num_support_vectors, b.num_support_vectors);
+      EXPECT_EQ(a.shrink_events, b.shrink_events);
+      EXPECT_EQ(a.unshrink_events, b.unshrink_events);
+      // Identical iterate sequences fetch identical row sequences: the
+      // dense source counts every fetch as a hit, the cache splits the
+      // same total into hits + misses.
+      EXPECT_EQ(a.cache_hits, b.cache_hits + b.cache_misses);
+      EXPECT_GT(b.cache_misses, 0u);
     }
   }
 }
@@ -314,8 +333,6 @@ TEST(SmoCacheParityTest, BudgetExhaustedWhileShrunkLeavesSourceReusable) {
   starved.C = 5.0;
   starved.tolerance = 1e-6;  // prolong the solve past the shrink pass
   starved.max_iterations = probe.num_rows() + 10;
-  starved.use_wss2 = SmoToggle::kOn;
-  starved.use_shrinking = SmoToggle::kOn;
 
   KernelCache cache(CodeMatrix(p.train), kc, kUnbounded);
   const Result<SmoSolution> aborted = SolveSmo(cache, p.y, starved);
@@ -338,38 +355,51 @@ TEST(SmoCacheParityTest, BudgetExhaustedWhileShrunkLeavesSourceReusable) {
   EXPECT_EQ(reused.value().iterations, baseline.value().iterations);
 }
 
-/// WSS2 + shrinking reach a different (usually much shorter) iterate
-/// sequence than the first-order loop, but both stop at a
-/// tolerance-exact optimum of the same dual, so the fitted classifiers
-/// must agree on every prediction — across all three kernels, a 1-row
-/// and an unbounded cache, and HAMLET_THREADS 1 and 4.
+/// The production solver (WSS2 + shrinking over the kernel cache) and
+/// the first-order reference in tests/smo_reference.h take different
+/// iterate sequences to tolerance-exact optima of the same dual, so the
+/// fitted classifiers must agree on every prediction — across all three
+/// kernels, the 2-row minimum and an unbounded cache, and
+/// HAMLET_THREADS 1 and 4.
 TEST(SmoWss2ParityTest, PredictionsMatchFirstOrderAcrossKernelsCachesThreads) {
   const SmoProblem p(23);
-  const CodeMatrix m(p.train);
-  const size_t n = m.num_rows();
+  const CodeMatrix train(p.train);
+  const CodeMatrix queries(p.test);
+  const size_t n = train.num_rows();
+  const size_t d = train.num_features();
+  SmoConfig reference_cfg;
+  reference_cfg.C = 5.0;
   for (const KernelConfig& kc : AllKernels()) {
+    const test::ReferenceSolution ref = test::ReferenceSmo(
+        test::ReferenceGram(kc, train.codes(), n, d), p.y, reference_cfg);
+    ASSERT_TRUE(ref.converged) << KernelTypeName(kc.type);
+    auto reference_predictions = [&](const CodeMatrix& m) {
+      std::vector<uint8_t> preds(m.num_rows());
+      for (size_t q = 0; q < m.num_rows(); ++q) {
+        preds[q] = test::ReferenceDecisionValue(kc, ref, p.y, train.codes(),
+                                                m.row(q), d) >= 0.0
+                       ? 1
+                       : 0;
+      }
+      return preds;
+    };
+    const std::vector<uint8_t> ref_train = reference_predictions(train);
+    const std::vector<uint8_t> ref_test = reference_predictions(queries);
     for (const char* threads : {"1", "4"}) {
       test::ScopedThreads scoped(threads);
-      for (size_t cache_bytes : {BytesForRows(1, n), kUnbounded}) {
-        auto fit = [&](SmoToggle wss2, SmoToggle shrink) {
-          SvmConfig cfg;
-          cfg.kernel = kc;
-          cfg.C = 5.0;
-          cfg.smo_cache_bytes = cache_bytes;
-          cfg.smo_wss2 = wss2;
-          cfg.smo_shrinking = shrink;
-          auto svm = std::make_unique<KernelSvm>(cfg);
-          EXPECT_TRUE(svm->Fit(p.train).ok());
-          EXPECT_TRUE(svm->converged());
-          return svm;
-        };
-        const auto legacy = fit(SmoToggle::kOff, SmoToggle::kOff);
-        const auto modern = fit(SmoToggle::kOn, SmoToggle::kOn);
-        EXPECT_GT(modern->last_iterations(), 0u);
-        EXPECT_EQ(modern->PredictAll(p.train), legacy->PredictAll(p.train))
+      for (size_t cache_bytes : {BytesForRows(2, n), kUnbounded}) {
+        SvmConfig cfg;
+        cfg.kernel = kc;
+        cfg.C = 5.0;
+        cfg.smo_cache_bytes = cache_bytes;
+        KernelSvm svm(cfg);
+        ASSERT_TRUE(svm.Fit(p.train).ok());
+        EXPECT_TRUE(svm.converged());
+        EXPECT_GT(svm.last_iterations(), 0u);
+        EXPECT_EQ(svm.PredictAll(p.train), ref_train)
             << KernelTypeName(kc.type) << " threads=" << threads
             << " cache_bytes=" << cache_bytes;
-        EXPECT_EQ(modern->PredictAll(p.test), legacy->PredictAll(p.test))
+        EXPECT_EQ(svm.PredictAll(p.test), ref_test)
             << KernelTypeName(kc.type) << " threads=" << threads
             << " cache_bytes=" << cache_bytes;
       }
@@ -378,9 +408,9 @@ TEST(SmoWss2ParityTest, PredictionsMatchFirstOrderAcrossKernelsCachesThreads) {
 }
 
 /// End-to-end through KernelSvm: predictions, support-vector count and
-/// accuracy must agree bitwise between a 1-row cache, a 2-row cache and
-/// the default budget, at HAMLET_THREADS=1 and 4 (PredictAll fans rows
-/// out over the pool), for all three kernels.
+/// accuracy must agree bitwise between the 2-row minimum cache, an 8-row
+/// cache and the default budget, at HAMLET_THREADS=1 and 4 (PredictAll
+/// fans rows out over the pool), for all three kernels.
 TEST(SmoCacheParityTest, KernelSvmBitIdenticalAcrossCacheSizesAndThreads) {
   const SmoProblem p(22);
   const CodeMatrix m(p.train);
@@ -392,7 +422,7 @@ TEST(SmoCacheParityTest, KernelSvmBitIdenticalAcrossCacheSizesAndThreads) {
       test::ScopedThreads scoped(threads);
       std::vector<std::vector<uint8_t>> all_preds;
       for (size_t cache_bytes :
-           {BytesForRows(1, n), BytesForRows(2, n), size_t{0}}) {
+           {BytesForRows(2, n), BytesForRows(8, n), size_t{0}}) {
         SvmConfig cfg;
         cfg.kernel = kc;
         cfg.C = 5.0;
@@ -401,7 +431,7 @@ TEST(SmoCacheParityTest, KernelSvmBitIdenticalAcrossCacheSizesAndThreads) {
         ASSERT_TRUE(svm.Fit(p.train).ok());
         EXPECT_GT(svm.num_support_vectors(), 0u);
         all_preds.push_back(svm.PredictAll(p.test));
-        if (cache_bytes == BytesForRows(1, n)) {
+        if (cache_bytes == BytesForRows(2, n)) {
           // The tightest cache recomputes constantly; the looser ones
           // must see strictly fewer misses for the same fetch sequence.
           EXPECT_GT(svm.last_cache_misses(), 0u);

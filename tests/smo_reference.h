@@ -1,0 +1,199 @@
+// Test-local SMO oracle: a dense Gram matrix built with the scalar
+// KernelEval (no bit packing, so it is independent of the packed path the
+// production KernelCache runs), a KernelRowSource fake over that matrix,
+// and a plain first-order SMO that the production solver (second-order
+// working-set selection + shrinking over a lazy row cache) is checked
+// against. None of this is library code: the production fit path always
+// runs ml::SolveSmo over an ml::KernelCache.
+
+#ifndef HAMLET_TESTS_SMO_REFERENCE_H_
+#define HAMLET_TESTS_SMO_REFERENCE_H_
+
+#include <algorithm>
+#include <cassert>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "hamlet/common/status.h"
+#include "hamlet/ml/svm/kernel.h"
+#include "hamlet/ml/svm/smo.h"
+
+namespace hamlet {
+namespace test {
+
+/// Dense symmetric n x n Gram over `rows` (n rows of d codes, row-major),
+/// stored row-major as floats with the same double->float narrowing as
+/// the kernel cache, so entries are bit-identical to cached rows.
+inline std::vector<float> ReferenceGram(const ml::KernelConfig& kernel,
+                                        const std::vector<uint32_t>& rows,
+                                        size_t n, size_t d) {
+  assert(rows.size() == n * d);
+  std::vector<float> gram(n * n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i; j < n; ++j) {
+      const float v = static_cast<float>(
+          ml::KernelEval(kernel, &rows[i * d], &rows[j * d], d));
+      gram[i * n + j] = v;
+      gram[j * n + i] = v;
+    }
+  }
+  return gram;
+}
+
+/// Presents a precomputed n x n row-major Gram as a row source: every
+/// fetch counts as a hit and active restrictions are no-ops (full rows
+/// are always valid). Lets tests feed hand-crafted matrices to
+/// ml::SolveSmo.
+class FullGramRowSource : public ml::KernelRowSource {
+ public:
+  /// `gram` must outlive the source and hold n*n floats.
+  FullGramRowSource(const std::vector<float>& gram, size_t n)
+      : gram_(gram), n_(n), diag_(n) {
+    assert(gram.size() == n * n);
+    for (size_t i = 0; i < n; ++i) diag_[i] = gram[i * n + i];
+  }
+
+  const float* Row(size_t i) override {
+    ++hits_;
+    return gram_.data() + i * n_;
+  }
+  float At(size_t i, size_t j) const override { return gram_[i * n_ + j]; }
+  const float* Diag() const override { return diag_.data(); }
+  size_t size() const override { return n_; }
+  uint64_t hits() const override { return hits_; }
+
+ private:
+  const std::vector<float>& gram_;
+  size_t n_;
+  std::vector<float> diag_;
+  uint64_t hits_ = 0;
+};
+
+/// The production solver over a dense Gram (n = y.size()).
+inline Result<ml::SmoSolution> SolveSmoOnGram(const std::vector<float>& gram,
+                                              const std::vector<int8_t>& y,
+                                              const ml::SmoConfig& config) {
+  FullGramRowSource rows(gram, y.size());
+  return ml::SolveSmo(rows, y, config);
+}
+
+/// Result of ReferenceSmo.
+struct ReferenceSolution {
+  std::vector<double> alpha;
+  double bias = 0.0;
+  size_t iterations = 0;
+  bool converged = false;
+};
+
+/// Plain first-order SMO over a dense Gram: every iteration updates the
+/// maximal violating pair (Keerthi et al.), with Platt's analytic step,
+/// endpoint evaluation for eta <= 1e-12 (ml::DegenerateEndpointAj), and
+/// a linear rescue scan when box clipping blocks the pair. No shrinking,
+/// no cache. Labels must be -1/+1 with both classes present.
+inline ReferenceSolution ReferenceSmo(const std::vector<float>& gram,
+                                      const std::vector<int8_t>& y,
+                                      const ml::SmoConfig& config) {
+  const size_t n = y.size();
+  const double C = config.C;
+  ReferenceSolution sol;
+  sol.alpha.assign(n, 0.0);
+  std::vector<double>& alpha = sol.alpha;
+  std::vector<double> error(n);  // f(x_t) - y_t
+  for (size_t t = 0; t < n; ++t) error[t] = -static_cast<double>(y[t]);
+  double& bias = sol.bias;
+  auto K = [&](size_t i, size_t j) {
+    return static_cast<double>(gram[i * n + j]);
+  };
+
+  auto update = [&](size_t i, size_t j) {
+    if (i == j) return false;
+    const double yi = y[i], yj = y[j];
+    const double ai_old = alpha[i], aj_old = alpha[j];
+    const double lo = yi != yj ? std::max(0.0, aj_old - ai_old)
+                               : std::max(0.0, ai_old + aj_old - C);
+    const double hi = yi != yj ? std::min(C, C + aj_old - ai_old)
+                               : std::min(C, ai_old + aj_old);
+    if (lo >= hi) return false;
+    const double kii = K(i, i), kjj = K(j, j), kij = K(i, j);
+    const double eta = kii + kjj - 2.0 * kij;
+    const double aj_new =
+        eta > 1e-12
+            ? std::clamp(aj_old + yj * (error[i] - error[j]) / eta, lo, hi)
+            : ml::DegenerateEndpointAj(lo, hi, ai_old, aj_old, yi, yj,
+                                       error[i], error[j], bias, kii, kjj,
+                                       kij);
+    if (std::abs(aj_new - aj_old) < 1e-12 * (aj_new + aj_old + 1e-12)) {
+      return false;
+    }
+    const double ai_new = ai_old + yi * yj * (aj_old - aj_new);
+    alpha[i] = ai_new;
+    alpha[j] = aj_new;
+    const double b1 = bias - error[i] - yi * (ai_new - ai_old) * kii -
+                      yj * (aj_new - aj_old) * kij;
+    const double b2 = bias - error[j] - yi * (ai_new - ai_old) * kij -
+                      yj * (aj_new - aj_old) * kjj;
+    const double new_bias = (ai_new > 0.0 && ai_new < C)   ? b1
+                            : (aj_new > 0.0 && aj_new < C) ? b2
+                                                           : 0.5 * (b1 + b2);
+    const double delta_b = new_bias - bias;
+    bias = new_bias;
+    const double di = yi * (ai_new - ai_old);
+    const double dj = yj * (aj_new - aj_old);
+    for (size_t t = 0; t < n; ++t) {
+      error[t] += di * K(i, t) + dj * K(j, t) + delta_b;
+    }
+    return true;
+  };
+
+  size_t& it = sol.iterations;
+  for (it = 0; it < config.max_iterations; ++it) {
+    // Max score -error over I_up, min over I_low (first extremum wins).
+    double up = -std::numeric_limits<double>::infinity();
+    double low = std::numeric_limits<double>::infinity();
+    size_t i = n, j = n;
+    for (size_t t = 0; t < n; ++t) {
+      const bool in_up = y[t] > 0 ? alpha[t] < C : alpha[t] > 0.0;
+      const bool in_low = y[t] > 0 ? alpha[t] > 0.0 : alpha[t] < C;
+      if (in_up && -error[t] > up) up = -error[t], i = t;
+      if (in_low && -error[t] < low) low = -error[t], j = t;
+    }
+    if (i == n || j == n || up - low < config.tolerance) {
+      sol.converged = true;
+      break;
+    }
+    bool progressed = update(i, j);
+    for (size_t t = 0; t < n && !progressed; ++t) {
+      if (t != i && t != j) progressed = update(i, t);
+    }
+    for (size_t t = 0; t < n && !progressed; ++t) {
+      if (t != i && t != j) progressed = update(t, j);
+    }
+    if (!progressed) break;  // numerically stuck
+  }
+  return sol;
+}
+
+/// Decision value bias + sum_s alpha_s y_s K(x_s, query) over the
+/// support vectors (alpha > 1e-10) in ascending order, in double kernel
+/// precision like ml::KernelSvm's prediction path.
+inline double ReferenceDecisionValue(const ml::KernelConfig& kernel,
+                                     const ReferenceSolution& sol,
+                                     const std::vector<int8_t>& y,
+                                     const std::vector<uint32_t>& train_rows,
+                                     const uint32_t* query, size_t d) {
+  double f = sol.bias;
+  for (size_t s = 0; s < y.size(); ++s) {
+    if (sol.alpha[s] > 1e-10) {
+      f += sol.alpha[s] * static_cast<double>(y[s]) *
+           ml::KernelEval(kernel, &train_rows[s * d], query, d);
+    }
+  }
+  return f;
+}
+
+}  // namespace test
+}  // namespace hamlet
+
+#endif  // HAMLET_TESTS_SMO_REFERENCE_H_

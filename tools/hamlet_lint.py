@@ -6,9 +6,7 @@ Rules
   env-docs        Every getenv("HAMLET_*") site in src/ must appear in the
                   README environment-variable table, and every table row
                   must have a live getenv site (doc drift in either
-                  direction fails). Indirect readers that take the variable
-                  name as a string literal (e.g. SmoBoolFromEnv(
-                  "HAMLET_SMO_WSS2", ...)) count as sites.
+                  direction fails).
   determinism     No raw std::thread construction, rand()/srand(),
                   std::random_device, or wall-clock reads
                   (std::chrono::system_clock, time(), gettimeofday,
@@ -52,7 +50,7 @@ DETERMINISM_ALLOWLIST = {
 
 WAIVER_RE = re.compile(r"//\s*hamlet-lint:\s*allow\(([a-z-]+)\)")
 
-ENV_SITE_RE = re.compile(r'(?:getenv\s*\(\s*|FromEnv\s*\(\s*)"(HAMLET_[A-Z0-9_]+)"')
+ENV_SITE_RE = re.compile(r'getenv\s*\(\s*"(HAMLET_[A-Z0-9_]+)"')
 ENV_DOC_RE = re.compile(r"^\|\s*`(HAMLET_[A-Z0-9_]+)`\s*\|")
 
 DETERMINISM_PATTERNS = [
@@ -157,7 +155,7 @@ class Linter:
         for var in sorted(documented - set(sites)):
             self.add("README.md", 0, "env-docs",
                      "%s is documented in the README table but no "
-                     "getenv/FromEnv site in src/ reads it" % var)
+                     "getenv site in src/ reads it" % var)
 
     # -- determinism + unordered-iter (per-line scans) -----------------
     def check_source_rules(self):

@@ -86,14 +86,6 @@ def main():
         check("stale README row fires",
               code == 1 and "HAMLET_GHOST_VAR" in out, out)
 
-        # Indirect FromEnv-style reads count as sites (no false drift).
-        indirect = (Fixture(base, "indirect")
-                    .write("README.md", README_WITH)
-                    .write("src/hamlet/a.cc",
-                           'bool b = BoolFromEnv("HAMLET_FIXTURE_VAR", 1);\n'))
-        code, out = indirect.lint()
-        check("FromEnv site counts as documented read", code == 0, out)
-
         # determinism: each banned construct, plus comment/string/waiver/
         # allowlist suppression.
         for snippet, what in [
