@@ -3,8 +3,10 @@
 // Matches the paper's ANN (§3.2): two hidden layers of 256 and 64 ReLU
 // units, sigmoid output, L2 weight penalty, trained with Adam. The input
 // is the one-hot encoding of the categorical row; because exactly one unit
-// per feature is active, the first layer runs sparsely (sum of active
-// columns) and its gradient/Adam state updates lazily per active column.
+// per feature is active, the first layer runs sparsely (sum of the active
+// units' weight rows) and its gradient/Adam state updates lazily, only for
+// the units a minibatch touches. The dense layers skip inputs that ReLU
+// zeroed.
 
 #ifndef HAMLET_ML_ANN_MLP_H_
 #define HAMLET_ML_ANN_MLP_H_
@@ -42,11 +44,15 @@ class Mlp : public Classifier {
 
   Status Fit(const DataView& train) override;
   uint8_t Predict(const DataView& view, size_t i) const override;
+  /// Materialises `view` once and scores it in row chunks, one scratch
+  /// per chunk; bit-identical to Predict on every row.
+  std::vector<uint8_t> PredictAll(const DataView& view) const override;
   std::string name() const override { return "ann-mlp"; }
 
   ModelFamily family() const override { return ModelFamily::kMlp; }
-  /// Serializes the inference state only (first-layer columns, biases,
-  /// dense layers); Adam moments are training state and zero-fill on load.
+  /// Serializes the inference state only (first-layer weights, biases,
+  /// dense layers). Adam moments are training state: Fit releases them
+  /// before it returns, so neither a fitted nor a loaded model holds any.
   Status SaveBody(io::ModelWriter& writer) const override;
   static Result<std::unique_ptr<Mlp>> LoadBody(
       io::ModelReader& reader, const std::vector<uint32_t>& domains);
@@ -59,26 +65,30 @@ class Mlp : public Classifier {
     size_t in = 0, out = 0;
     std::vector<double> w;  // out x in, row-major
     std::vector<double> b;
-    // Adam state.
-    std::vector<double> mw, vw, mb, vb;
   };
+  /// Caller-owned per-row working memory of Forward (mlp.cc).
+  struct Scratch;
 
-  /// Forward pass from the active one-hot units; fills per-layer
-  /// activations (post-ReLU) and returns the output probability.
-  double Forward(const std::vector<uint32_t>& active,
-                 std::vector<std::vector<double>>& acts) const;
+  /// Unit indices of `codes` (one per feature) for prediction; a unit
+  /// past the one-hot dimension is clamped to the last unit.
+  void InferenceUnits(const uint32_t* codes, std::vector<uint32_t>& units)
+      const;
+
+  /// Forward pass from one active one-hot unit per feature; fills
+  /// `scratch` with every layer's activations (post-ReLU) and their live
+  /// (non-zero) indices, and returns the output probability. The one
+  /// forward kernel of both Fit and prediction.
+  double Forward(const uint32_t* units, Scratch& scratch) const;
 
   MlpConfig config_;
   OneHotMap one_hot_;
   bool fitted_ = false;
-  // First layer stored column-major over one-hot units for sparse access:
-  // col_w_[u] is the h1-sized column for unit u.
-  std::vector<std::vector<double>> col_w_;
-  std::vector<std::vector<double>> col_m_, col_v_;  // Adam state per column
-  std::vector<double> b1_, m_b1_, v_b1_;
-  std::vector<DenseLayer> layers_;  // hidden2..output
   size_t h1_ = 0;
-  size_t adam_t_ = 0;
+  // First layer, unit-major for sparse access: w1_[u * h1_ + k] is the
+  // weight from one-hot unit u to hidden unit k.
+  std::vector<double> w1_;
+  std::vector<double> b1_;
+  std::vector<DenseLayer> layers_;  // hidden2..output
 };
 
 }  // namespace ml

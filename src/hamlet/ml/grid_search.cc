@@ -1,5 +1,10 @@
 #include "hamlet/ml/grid_search.h"
 
+#include <limits>
+#include <memory>
+#include <utility>
+
+#include "hamlet/common/mutex.h"
 #include "hamlet/common/parallel.h"
 #include "hamlet/ml/metrics.h"
 
@@ -34,6 +39,46 @@ std::vector<ParamMap> ParamGrid::Enumerate() const {
   return out;
 }
 
+namespace {
+
+/// The best fitted model offered so far. Workers offer in scheduling
+/// order, but what is kept does not depend on that order: the highest
+/// validation accuracy, ties going to the lowest enumeration index, which
+/// is the model a serial scan in enumeration order would keep.
+class Winner {
+ public:
+  /// Keeps `model` if it beats the kept one; the losing model is freed on
+  /// return, outside the lock.
+  void Offer(size_t index, double val_accuracy,
+             std::unique_ptr<Classifier> model) HAMLET_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (val_accuracy > val_accuracy_ ||
+        (val_accuracy == val_accuracy_ && index < index_)) {
+      index_ = index;
+      val_accuracy_ = val_accuracy;
+      model_.swap(model);
+    }
+  }
+
+  /// Moves the kept point into `result`; call once every offer is in.
+  void TakeInto(const std::vector<ParamMap>& points,
+                GridSearchResult& result) HAMLET_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    result.best_val_accuracy = val_accuracy_;
+    if (model_ == nullptr) return;  // empty axis, no points
+    result.best_params = points[index_];
+    result.best_model = std::move(model_);
+  }
+
+ private:
+  Mutex mu_;
+  size_t index_ HAMLET_GUARDED_BY(mu_) = std::numeric_limits<size_t>::max();
+  double val_accuracy_ HAMLET_GUARDED_BY(mu_) = -1.0;
+  std::unique_ptr<Classifier> model_ HAMLET_GUARDED_BY(mu_);
+};
+
+}  // namespace
+
 Result<GridSearchResult> GridSearch(const ModelFactory& factory,
                                     const ParamGrid& grid,
                                     const DataView& train,
@@ -43,52 +88,26 @@ Result<GridSearchResult> GridSearch(const ModelFactory& factory,
   }
   const std::vector<ParamMap> points = grid.Enumerate();
 
-  // Every grid point fits and scores independently on the pool; the winner
-  // is selected afterwards in enumeration order, so the outcome is
-  // bit-identical at any thread count (ties go to the lowest index).
-  // Workers keep only the score — holding all fitted models alive at once
-  // would multiply peak memory by the grid size — except for single-point
-  // grids, where keeping the model skips a pointless refit. Multi-point
-  // grids pay one extra deterministic fit of the winning point instead.
-  const bool keep_model = points.size() == 1;
-  std::vector<double> val_accuracy(points.size(), -1.0);
-  std::unique_ptr<Classifier> only_model;
-  Status fit_status = parallel::ParallelForStatus(
+  // Every grid point fits and scores independently on the pool and offers
+  // its model to the winner, which keeps one and frees the other at once:
+  // at most one model per in-flight fit plus the kept one is ever alive.
+  Winner winner;
+  HAMLET_RETURN_IF_ERROR(parallel::ParallelForStatus(
       points.size(), [&](size_t i) -> Status {
         std::unique_ptr<Classifier> model = factory(points[i]);
         if (model == nullptr) {
           return Status::Internal("model factory returned null");
         }
         HAMLET_RETURN_IF_ERROR(model->Fit(train));
-        val_accuracy[i] = val.num_rows() > 0 ? Accuracy(*model, val) : 0.0;
-        if (keep_model) only_model = std::move(model);
+        const double val_accuracy =
+            val.num_rows() > 0 ? Accuracy(*model, val) : 0.0;
+        winner.Offer(i, val_accuracy, std::move(model));
         return Status::OK();
-      });
-  if (!fit_status.ok()) return fit_status;
+      }));
 
   GridSearchResult result;
-  result.best_val_accuracy = -1.0;
   result.configurations_tried = points.size();
-  size_t best_index = points.size();
-  for (size_t i = 0; i < points.size(); ++i) {
-    if (val_accuracy[i] > result.best_val_accuracy) {
-      result.best_val_accuracy = val_accuracy[i];
-      best_index = i;
-    }
-  }
-  if (best_index == points.size()) return result;  // empty axis, no points
-  result.best_params = points[best_index];
-  if (keep_model) {
-    result.best_model = std::move(only_model);
-  } else {
-    // Refitting the winner on the same training view is deterministic, so
-    // this reproduces the exact model the worker scored.
-    result.best_model = factory(points[best_index]);
-    if (result.best_model == nullptr) {
-      return Status::Internal("model factory returned null");
-    }
-    HAMLET_RETURN_IF_ERROR(result.best_model->Fit(train));
-  }
+  winner.TakeInto(points, result);
   return result;
 }
 

@@ -1,8 +1,8 @@
 // Validation-set grid search over hyper-parameters (paper §3.2).
 //
 // Every model family in the study is tuned by exhaustive grid search on the
-// 25% validation split; the winning configuration is refit on the training
-// split and evaluated on the holdout.
+// 25% validation split; the model fitted for the winning configuration on
+// the training split is kept and evaluated on the holdout.
 
 #ifndef HAMLET_ML_GRID_SEARCH_H_
 #define HAMLET_ML_GRID_SEARCH_H_
@@ -49,7 +49,7 @@ using ModelFactory =
 struct GridSearchResult {
   ParamMap best_params;
   double best_val_accuracy = 0.0;
-  std::unique_ptr<Classifier> best_model;  // fit on the training view
+  std::unique_ptr<Classifier> best_model;  // the winner's fit on `train`
   size_t configurations_tried = 0;
 };
 
@@ -57,7 +57,10 @@ struct GridSearchResult {
 /// best (ties: first in enumeration order, keeping results deterministic).
 /// Grid points fit and score concurrently on the parallel pool
 /// (HAMLET_THREADS); the winner and any error (lowest-index failure) are
-/// bit-identical at every thread count.
+/// bit-identical at every thread count. The factory runs exactly once per
+/// grid point: the winning model is the one that was scored, never a
+/// refit, and each losing model is freed as soon as it is outscored, so
+/// at most min(points, threads) + 1 models are alive at once.
 Result<GridSearchResult> GridSearch(const ModelFactory& factory,
                                     const ParamGrid& grid,
                                     const DataView& train,

@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "hamlet/common/rng.h"
 #include "hamlet/data/dataset.h"
 #include "hamlet/data/view.h"
 #include "hamlet/ml/ann/mlp.h"
 #include "hamlet/ml/metrics.h"
+#include "mlp_reference.h"
+#include "parity_util.h"
 
 namespace hamlet {
 namespace ml {
@@ -171,6 +176,97 @@ INSTANTIATE_TEST_SUITE_P(
     PaperGrid, MlpGridTest,
     ::testing::Combine(::testing::Values(1e-3, 1e-2, 1e-1),
                        ::testing::Values(1e-4, 1e-3, 1e-2)));
+
+// ------------------------------------------------- reference parity --
+//
+// The production trainer (flat first layer, live-input dense kernels,
+// batch-delta first-layer gradient, Fit-local Adam state) must reproduce
+// the test-local oracle in tests/mlp_reference.h bit for bit: every
+// probability and every saved byte.
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+struct OracleCase {
+  const char* name;
+  std::vector<size_t> hidden_sizes;
+  size_t batch_size;
+  double learning_rate;
+  size_t num_rows;
+  std::vector<uint32_t> domains;
+  bool expect_dead_units;
+};
+
+class MlpOracleParityTest : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(MlpOracleParityTest, MatchesReferenceBitwise) {
+  const OracleCase& c = GetParam();
+  const Dataset data = test::MakeParityDataset(c.num_rows, c.domains, 29);
+  const auto views = test::MakeParityViews(data, 30);
+  MlpConfig cfg;
+  cfg.hidden_sizes = c.hidden_sizes;
+  cfg.batch_size = c.batch_size;
+  cfg.learning_rate = c.learning_rate;
+  cfg.l2 = 1e-3;
+  cfg.epochs = 4;
+  cfg.seed = 31;
+
+  test::ReferenceMlp reference(cfg);
+  ASSERT_TRUE(reference.Fit(views.train).ok());
+  Mlp mlp(cfg);
+  ASSERT_TRUE(mlp.Fit(views.train).ok());
+  if (c.expect_dead_units) {
+    // Fixture precondition: whole hidden units never fire, so the live
+    // input lists of the dense kernels are strictly shorter than h1.
+    ASSERT_GT(reference.DeadHiddenUnits(views.train), 0u);
+  }
+
+  const std::string bytes = test::SaveToString(mlp);
+  // EXPECT_TRUE, not EXPECT_EQ: a mismatch must not dump the model bytes.
+  EXPECT_TRUE(bytes == test::SaveToString(reference)) << "saved bytes differ";
+  for (const DataView* view : {&views.train, &views.test}) {
+    for (size_t i = 0; i < view->num_rows(); ++i) {
+      ASSERT_EQ(Bits(mlp.PredictProbability(*view, i)),
+                Bits(reference.PredictProbability(*view, i)))
+          << "row " << i;
+    }
+    std::vector<uint8_t> expected(view->num_rows());
+    for (size_t i = 0; i < view->num_rows(); ++i) {
+      expected[i] = reference.Predict(*view, i);
+    }
+    for (const char* threads : {"1", "4"}) {
+      test::ScopedThreads env(threads);
+      EXPECT_EQ(mlp.PredictAll(*view), expected) << threads << " threads";
+    }
+  }
+
+  // A second Fit on the same object starts from scratch: the Adam state
+  // of the first was released, not carried over.
+  ASSERT_TRUE(mlp.Fit(views.train).ok());
+  EXPECT_TRUE(test::SaveToString(mlp) == bytes) << "refit bytes differ";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, MlpOracleParityTest,
+    ::testing::Values(
+        // 134 training rows: four full batches of 32 and a ragged 6.
+        OracleCase{"small_batch32", {8, 4}, 32, 1e-2, 201, {4, 3, 5}, false},
+        OracleCase{"small_batch1", {8, 4}, 1, 1e-1, 60, {4, 3, 5}, false},
+        OracleCase{"paper_lr_1e2", {256, 64}, 32, 1e-2, 240, {6, 9, 4},
+                   false},
+        OracleCase{"paper_lr_1e1", {256, 64}, 32, 1e-1, 201, {6, 9, 4},
+                   false},
+        OracleCase{"large_fk_domain", {16, 8}, 32, 1e-2, 600, {500, 3},
+                   false},
+        // One binary feature: two distinct inputs, so hidden units whose
+        // pre-activation is negative on both never fire.
+        OracleCase{"dead_hidden_units", {8, 4}, 8, 1e-1, 90, {2}, true}),
+    [](const ::testing::TestParamInfo<OracleCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace ml

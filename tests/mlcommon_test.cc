@@ -3,16 +3,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <sstream>
+#include <string>
+#include <thread>
 
 #include "hamlet/common/rng.h"
 #include "hamlet/data/dataset.h"
 #include "hamlet/data/split.h"
 #include "hamlet/data/view.h"
+#include "hamlet/ml/ann/mlp.h"
 #include "hamlet/ml/bias_variance.h"
 #include "hamlet/ml/grid_search.h"
 #include "hamlet/ml/metrics.h"
 #include "hamlet/ml/tree/decision_tree.h"
+#include "parity_util.h"
 
 namespace hamlet {
 namespace ml {
@@ -189,6 +196,177 @@ TEST(GridSearchTest, WorksWithRealTree) {
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r.value().best_val_accuracy, 1.0);
   EXPECT_DOUBLE_EQ(Accuracy(*r.value().best_model, views.test), 1.0);
+}
+
+/// Classifier that counts its live instances process-wide and records the
+/// most ever alive at once. Fit sleeps briefly so concurrent grid points
+/// overlap, and fails for the configured points. Row i of a view is
+/// predicted correctly iff i < p, so validation accuracy rises with p
+/// until it saturates.
+class CountingModel : public Classifier {
+ public:
+  static std::atomic<int> live;
+  static std::atomic<int> peak;
+
+  CountingModel(double p, bool fail) : p_(p), fail_(fail) {
+    const int now = live.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+  }
+  ~CountingModel() override { live.fetch_sub(1); }
+
+  Status Fit(const DataView&) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (fail_) return Status::Internal("fit failed at p=" + Str(p_));
+    return Status::OK();
+  }
+  uint8_t Predict(const DataView& view, size_t i) const override {
+    const uint8_t y = view.label(i);
+    return static_cast<double>(i) < p_ ? y : static_cast<uint8_t>(1 - y);
+  }
+  std::string name() const override { return "counting"; }
+
+ private:
+  static std::string Str(double v) {
+    std::ostringstream os;
+    os << v;
+    return os.str();
+  }
+  double p_;
+  bool fail_;
+};
+std::atomic<int> CountingModel::live{0};
+std::atomic<int> CountingModel::peak{0};
+
+/// Views over labels {1, 0, 1, 0, ...}: two training rows and `val_rows`
+/// validation rows.
+struct CountingFixture {
+  explicit CountingFixture(size_t val_rows) {
+    std::vector<uint8_t> labels(2 + val_rows);
+    for (size_t i = 0; i < labels.size(); ++i) labels[i] = i % 2 == 0;
+    data = MakeLabeled(labels);
+    std::vector<uint32_t> val_ids(val_rows);
+    for (size_t i = 0; i < val_rows; ++i) {
+      val_ids[i] = static_cast<uint32_t>(2 + i);
+    }
+    train = DataView(&data, {0, 1}, {0});
+    val = DataView(&data, val_ids, {0});
+  }
+  Dataset data;
+  DataView train, val;
+};
+
+TEST(GridSearchTest, FactoryRunsOncePerPointWithNoRefit) {
+  CountingFixture f(8);
+  ParamGrid grid;
+  grid.Add("p", {1, 7, 3}).Add("q", {0, 1});
+  for (const char* threads : {"1", "2", "4"}) {
+    test::ScopedThreads env(threads);
+    std::atomic<int> calls{0};
+    Result<GridSearchResult> r = GridSearch(
+        [&](const ParamMap& p) {
+          calls.fetch_add(1);
+          return std::make_unique<CountingModel>(p.at("p"), false);
+        },
+        grid, f.train, f.val);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(calls.load(), 6) << threads << " threads";
+    EXPECT_EQ(r.value().configurations_tried, 6u);
+    EXPECT_DOUBLE_EQ(r.value().best_params.at("p"), 7.0);
+    EXPECT_DOUBLE_EQ(r.value().best_params.at("q"), 0.0);
+    EXPECT_DOUBLE_EQ(r.value().best_val_accuracy, 7.0 / 8.0);
+  }
+}
+
+TEST(GridSearchTest, TiesGoToLowestIndexAtAnyThreadCount) {
+  CountingFixture f(4);
+  ParamGrid grid;
+  // Indices 2, 5 and 6 all score a perfect 1.0; index 2 must win.
+  grid.Add("p", {0, 1, 4, 2, 3, 9, 4, 1});
+  for (const char* threads : {"1", "2", "4"}) {
+    test::ScopedThreads env(threads);
+    std::atomic<int> made{0};
+    Result<GridSearchResult> r = GridSearch(
+        [&](const ParamMap& p) {
+          made.fetch_add(1);
+          return std::make_unique<CountingModel>(p.at("p"), false);
+        },
+        grid, f.train, f.val);
+    ASSERT_TRUE(r.ok());
+    EXPECT_DOUBLE_EQ(r.value().best_params.at("p"), 4.0) << threads;
+    EXPECT_DOUBLE_EQ(r.value().best_val_accuracy, 1.0);
+    EXPECT_EQ(made.load(), 8);
+  }
+}
+
+TEST(GridSearchTest, LiveModelsStayWithinInFlightFitsPlusOne) {
+  CountingFixture f(16);
+  ParamGrid grid;
+  grid.Add("p", {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12});
+  for (size_t threads : {1u, 2u, 4u}) {
+    test::ScopedThreads env(std::to_string(threads).c_str());
+    CountingModel::peak.store(0);
+    {
+      Result<GridSearchResult> r = GridSearch(
+          [](const ParamMap& p) {
+            return std::make_unique<CountingModel>(p.at("p"), false);
+          },
+          grid, f.train, f.val);
+      ASSERT_TRUE(r.ok());
+      EXPECT_DOUBLE_EQ(r.value().best_params.at("p"), 12.0);
+      EXPECT_EQ(CountingModel::live.load(), 1);  // the kept winner only
+    }
+    EXPECT_EQ(CountingModel::live.load(), 0);
+    EXPECT_GE(CountingModel::peak.load(), 1);
+    EXPECT_LE(CountingModel::peak.load(),
+              static_cast<int>(std::min<size_t>(12, threads) + 1))
+        << threads << " threads";
+  }
+}
+
+TEST(GridSearchTest, LowestIndexErrorWinsWithoutLeaking) {
+  CountingFixture f(8);
+  ParamGrid grid;
+  grid.Add("p", {8, 1, 2, 3, 4, 5, 6, 7});
+  for (const char* threads : {"1", "2", "4"}) {
+    test::ScopedThreads env(threads);
+    Result<GridSearchResult> r = GridSearch(
+        [](const ParamMap& p) {
+          const double v = p.at("p");
+          return std::make_unique<CountingModel>(v, v == 3 || v == 6);
+        },
+        grid, f.train, f.val);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().message(), "fit failed at p=3") << threads;
+    EXPECT_EQ(CountingModel::live.load(), 0);
+  }
+}
+
+TEST(GridSearchTest, BestModelSavesLikeAFreshFitOfBestParams) {
+  const Dataset d = test::MakeParityDataset(240, {5, 4, 7}, 41);
+  TrainValTest split = SplitRows(d.num_rows(), 0.5, 0.25, 42);
+  SplitViews views = MakeSplitViews(d, split, {0, 1, 2});
+  const ModelFactory factory = [](const ParamMap& p) {
+    MlpConfig cfg;
+    cfg.hidden_sizes = {16, 8};
+    cfg.learning_rate = p.at("lr");
+    cfg.l2 = p.at("l2");
+    cfg.epochs = 3;
+    return std::make_unique<Mlp>(cfg);
+  };
+  ParamGrid grid;
+  grid.Add("l2", {1e-3, 1e-2}).Add("lr", {1e-2, 1e-1});
+  for (const char* threads : {"1", "4"}) {
+    test::ScopedThreads env(threads);
+    Result<GridSearchResult> r =
+        GridSearch(factory, grid, views.train, views.val);
+    ASSERT_TRUE(r.ok());
+    std::unique_ptr<Classifier> fresh = factory(r.value().best_params);
+    ASSERT_TRUE(fresh->Fit(views.train).ok());
+    EXPECT_TRUE(test::SaveToString(*r.value().best_model) == test::SaveToString(*fresh))
+        << "saved bytes differ at " << threads << " threads";
+  }
 }
 
 // --------------------------------------------------------- bias-variance --

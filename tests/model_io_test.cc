@@ -27,6 +27,7 @@ using test::MakeParityDataset;
 using test::MakeParityViews;
 using test::ParityLearner;
 using test::ParityLearners;
+using test::SaveToString;
 using test::ScopedThreads;
 
 /// The serialization roster: every ParityLearner family plus the
@@ -37,14 +38,6 @@ std::vector<ParityLearner> SerializableLearners() {
                         return std::make_unique<ml::MajorityClassifier>();
                       }});
   return learners;
-}
-
-/// Serializes `model` to an in-memory byte string, asserting success.
-std::string SaveToString(const ml::Classifier& model) {
-  std::ostringstream os(std::ios::binary);
-  const Status st = io::SaveModel(model, os);
-  EXPECT_TRUE(st.ok()) << model.name() << ": " << st.ToString();
-  return os.str();
 }
 
 Result<std::unique_ptr<ml::Classifier>> LoadFromString(

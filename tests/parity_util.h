@@ -14,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "hamlet/data/code_matrix.h"
 #include "hamlet/data/dataset.h"
 #include "hamlet/data/view.h"
+#include "hamlet/io/serialize.h"
 #include "hamlet/ml/ann/mlp.h"
 #include "hamlet/ml/classifier.h"
 #include "hamlet/ml/knn/one_nn.h"
@@ -216,6 +218,14 @@ inline std::vector<ParityLearner> ParityLearners() {
                         return std::make_unique<ml::Mlp>(config);
                       }});
   return learners;
+}
+
+/// Serializes `model` to an in-memory byte string, asserting success.
+inline std::string SaveToString(const ml::Classifier& model) {
+  std::ostringstream os(std::ios::binary);
+  const Status st = io::SaveModel(model, os);
+  EXPECT_TRUE(st.ok()) << model.name() << ": " << st.ToString();
+  return os.str();
 }
 
 /// Asserts the dense batch path (PredictAll, CodeMatrix inside the hot

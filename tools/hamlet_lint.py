@@ -23,10 +23,20 @@ Rules
   test-reg        Every tests/*_test.cc must be registered in
                   tests/CMakeLists.txt — an unregistered suite compiles
                   green in nobody's build and rots.
+  float-flags     No value-changing floating-point compiler flag
+                  (-ffast-math, -Ofast, -funsafe-math-optimizations,
+                  -fassociative-math, -freciprocal-math,
+                  -ffp-contract=fast) in any CMakeLists.txt or *.cmake
+                  under src/, cmake/, tests/, bench/ or examples/. They
+                  let the compiler reassociate or contract arithmetic, so
+                  results would stop being bit-identical to the test
+                  oracles and across builds. Flags that change no value,
+                  such as -fno-math-errno, are fine.
 
 Waivers: append `// hamlet-lint: allow(<rule>)` to the offending line
 (rule is one of: determinism, unordered-iter). env-docs and test-reg are
-cross-file properties with no meaningful per-line waiver.
+cross-file properties with no meaningful per-line waiver, and float-flags
+has none on purpose.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 Run from anywhere: paths resolve relative to the repo root (parent of
@@ -82,6 +92,11 @@ UNORDERED_DECL_RE = re.compile(
     r"\bunordered_(?:map|set|multimap|multiset)\s*<[^;{]*?>\s+(\w+)\s*[;{=(]")
 
 TEST_REG_RE = re.compile(r"([A-Za-z0-9_]+_test\.cc)")
+
+FLOAT_FLAG_DIRS = ("src", "cmake", "tests", "bench", "examples")
+FLOAT_FLAG_RE = re.compile(
+    r"(?<![\w-])(-ffast-math|-Ofast|-funsafe-math-optimizations|"
+    r"-fassociative-math|-freciprocal-math|-ffp-contract=fast)(?![\w=-])")
 
 
 def strip_comments_and_strings(line):
@@ -227,10 +242,26 @@ class Linter:
                          "tests/CMakeLists.txt; it builds in nobody's "
                          "tree")
 
+    # -- float-flags ---------------------------------------------------
+    def check_float_flags(self):
+        for subdir in FLOAT_FLAG_DIRS:
+            for path in self.source_files(
+                    subdir, exts=(".cmake", "CMakeLists.txt")):
+                rel = self.rel(path)
+                with open(path, encoding="utf-8") as f:
+                    for lineno, line in enumerate(f, 1):
+                        code = line.split("#", 1)[0]
+                        for flag in FLOAT_FLAG_RE.findall(code):
+                            self.add(rel, lineno, "float-flags",
+                                     "%s changes floating-point results; "
+                                     "the determinism contract needs "
+                                     "bit-identical arithmetic" % flag)
+
     def run(self):
         self.check_env_docs()
         self.check_source_rules()
         self.check_test_registration()
+        self.check_float_flags()
         return self.findings
 
 

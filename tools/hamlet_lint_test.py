@@ -157,6 +157,34 @@ def main():
               code == 1 and "test-reg" in out and "orphan_test.cc" in out,
               out)
 
+        # float-flags: a value-changing flag in any scanned CMake file
+        # fires; -fno-math-errno and a flag named in a comment do not.
+        for rel, line, what in [
+            ("src/hamlet/CMakeLists.txt",
+             "target_compile_options(h PRIVATE -ffast-math)\n",
+             "-ffast-math"),
+            ("cmake/Flags.cmake",
+             'set(CMAKE_CXX_FLAGS "${CMAKE_CXX_FLAGS} -ffp-contract=fast")\n',
+             "-ffp-contract=fast"),
+            ("bench/CMakeLists.txt",
+             "set_source_files_properties(a.cc PROPERTIES "
+             "COMPILE_OPTIONS -Ofast)\n",
+             "-Ofast"),
+        ]:
+            fix = Fixture(base, "fp_" + what.strip("-").replace("=", "_"))
+            fix.write(rel, line)
+            code, out = fix.lint()
+            check("float-flags fires on %s in %s" % (what, rel),
+                  code == 1 and "float-flags" in out and what in out, out)
+
+        fp_ok = (Fixture(base, "fp_ok")
+                 .write("src/hamlet/CMakeLists.txt",
+                        "# never -ffast-math here\n"
+                        "set_source_files_properties(a.cc PROPERTIES "
+                        "COMPILE_OPTIONS -fno-math-errno)\n"))
+        code, out = fp_ok.lint()
+        check("-fno-math-errno and comments pass float-flags", code == 0, out)
+
         # Bogus root is a usage error, not a silent pass.
         proc = subprocess.run(
             [sys.executable, LINT, "--root",
