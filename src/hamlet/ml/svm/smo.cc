@@ -68,6 +68,20 @@ double DegenerateEndpointAj(double lo, double hi, double ai_old,
   return aj_old;
 }
 
+PairBox ExactPairBox(double ai_old, double aj_old, double yi, double yj,
+                     double C) {
+  // Fields: lo, hi, ai_at_lo, ai_at_hi, ai_old, aj_old, s.
+  const double s = yi * yj;
+  if (yi != yj) {
+    const double diff = ai_old - aj_old;
+    if (diff > 0.0) return {0.0, C - diff, diff, C, ai_old, aj_old, s};
+    return {-diff, C, 0.0, C + diff, ai_old, aj_old, s};
+  }
+  const double sum = ai_old + aj_old;
+  if (sum > C) return {sum - C, C, C, sum - C, ai_old, aj_old, s};
+  return {0.0, sum, sum, 0.0, ai_old, aj_old, s};
+}
+
 size_t SelectWss2J(const float* row_i, const float* diag,
                    const double* error, const int8_t* y,
                    const double* alpha, double C, const int32_t* active,
@@ -186,20 +200,14 @@ struct Solver {
     return true;
   }
 
-  /// Analytic two-variable update (Platt). Returns false if no progress.
+  /// Analytic two-variable update (Platt's step, LIBSVM's exact box
+  /// clipping via ExactPairBox). Returns false if no progress.
   bool UpdatePair(size_t i, size_t j) {
     if (i == j) return false;
     const double yi = y[i], yj = y[j];
     const double ai_old = alpha[i], aj_old = alpha[j];
-    double lo, hi;
-    if (yi != yj) {
-      lo = std::max(0.0, aj_old - ai_old);
-      hi = std::min(cfg.C, cfg.C + aj_old - ai_old);
-    } else {
-      lo = std::max(0.0, ai_old + aj_old - cfg.C);
-      hi = std::min(cfg.C, ai_old + aj_old);
-    }
-    if (lo >= hi) return false;
+    const PairBox box = ExactPairBox(ai_old, aj_old, yi, yj, cfg.C);
+    if (box.lo >= box.hi) return false;
 
     // Probe the three kernel entries the step-size computation needs as
     // single O(d) evaluations (bit-identical to the row entries) so a
@@ -211,14 +219,14 @@ struct Solver {
     double aj_new;
     if (eta > 1e-12) {
       aj_new = aj_old + yj * (error[i] - error[j]) / eta;
-      aj_new = std::clamp(aj_new, lo, hi);
+      aj_new = std::clamp(aj_new, box.lo, box.hi);
     } else {
       // Degenerate curvature (duplicate or near-duplicate rows): the
       // pair objective is linear or concave along the constraint line,
       // so evaluate it at both clipped ends and take the lower (Platt).
-      aj_new = DegenerateEndpointAj(lo, hi, ai_old, aj_old, yi, yj,
-                                    error[i], error[j], bias, kii, kjj,
-                                    kij);
+      aj_new = DegenerateEndpointAj(box.lo, box.hi, ai_old, aj_old, yi,
+                                    yj, error[i], error[j], bias, kii,
+                                    kjj, kij);
     }
     if (std::abs(aj_new - aj_old) < 1e-12 * (aj_new + aj_old + 1e-12)) {
       return false;
@@ -229,7 +237,7 @@ struct Solver {
     const float* gi = rows.Row(i);
     const float* gj = rows.Row(j);
 
-    const double ai_new = ai_old + yi * yj * (aj_old - aj_new);
+    const double ai_new = box.PartnerAi(aj_new);
     alpha[i] = ai_new;
     alpha[j] = aj_new;
 

@@ -7,10 +7,14 @@
 // (WSS2): i maximises the gradient violation over I_up, j maximises the
 // quadratic gain (G_i - G_j)^2 / max(eta, tau) over the violating I_low
 // candidates, using the cached kernel diagonal plus the single kernel row
-// for i. Shrinking periodically deactivates bound-pinned points whose
-// gradients cannot re-enter the working set; before convergence is
-// declared the solver reconstructs the full gradient and unshrinks, so
-// the returned solution is tolerance-exact on the full problem.
+// for i. The pair update clips with LIBSVM's exact rule (ExactPairBox):
+// a step that lands on a box end puts both alphas exactly on 0, C or the
+// pair's rounded invariant, so a bound point never reads as free and
+// stalls the working set. Shrinking periodically deactivates
+// bound-pinned points whose gradients cannot re-enter the working set;
+// before convergence is declared the solver reconstructs the full
+// gradient and unshrinks, so the returned solution is tolerance-exact on
+// the full problem.
 //
 // Kernel rows are supplied by a KernelRowSource — in production the lazy
 // LRU KernelCache (see kernel_cache.h); tests substitute dense fakes. The
@@ -133,6 +137,48 @@ double DegenerateEndpointAj(double lo, double hi, double ai_old,
                             double aj_old, double yi, double yj,
                             double error_i, double error_j, double bias,
                             double kii, double kjj, double kij);
+
+/// The feasible segment of one pair update under LIBSVM's exact
+/// clipping. The equality constraint ties ai to aj; aj ranges over
+/// [lo, hi], and each end stands for an exact alpha pair built from the
+/// rounded invariant diff = ai - aj (labels differ) or sum = ai + aj
+/// (labels agree). Rounded box ends (C + aj - ai) and Platt's partner
+/// formula at an end left alphas 1e-14 off their bounds: free in
+/// I_up/I_low, but boxed in too tightly to move, so every update on them
+/// failed and the fit ran its whole iteration budget.
+struct PairBox {
+  double lo = 0.0;        ///< aj's lower end
+  double hi = 0.0;        ///< aj's upper end
+  double ai_at_lo = 0.0;  ///< ai's exact value when aj = lo
+  double ai_at_hi = 0.0;  ///< ai's exact value when aj = hi
+  double ai_old = 0.0;
+  double aj_old = 0.0;
+  double s = 0.0;  ///< yi * yj
+
+  /// ai partnering aj_new in [lo, hi]: the end's exact value when aj_new
+  /// is an end (both alphas then sit exactly on 0, C, or the invariant),
+  /// else the interior step ai_old + s * (aj_old - aj_new).
+  double PartnerAi(double aj_new) const {
+    if (aj_new == lo) return ai_at_lo;
+    if (aj_new == hi) return ai_at_hi;
+    return ai_old + s * (aj_old - aj_new);
+  }
+};
+
+/// LIBSVM's box for the pair (ai, aj) with labels yi, yj in {-1, +1} and
+/// box constraint C. Which variable a box end pins is decided by the
+/// exact comparisons diff > 0 / sum > C:
+///   labels differ:  diff > 0:  lo: (ai, aj) = (diff, 0)
+///                              hi: (C, C - diff)
+///                   diff <= 0: lo: (0, -diff)
+///                              hi: (C + diff, C)
+///   labels agree:   sum > C:   lo: (C, sum - C)
+///                              hi: (sum - C, C)
+///                   sum <= C:  lo: (sum, 0)
+///                              hi: (0, sum)
+/// lo >= hi means the pair cannot move. Exposed for direct unit testing.
+PairBox ExactPairBox(double ai_old, double aj_old, double yi, double yj,
+                     double C);
 
 /// Second-order (WSS2) j-step: given i's kernel row and up-score
 /// `up_best` (= -error_i), returns the original index of the I_low

@@ -89,9 +89,11 @@ struct ReferenceSolution {
 
 /// Plain first-order SMO over a dense Gram: every iteration updates the
 /// maximal violating pair (Keerthi et al.), with Platt's analytic step,
-/// endpoint evaluation for eta <= 1e-12 (ml::DegenerateEndpointAj), and
-/// a linear rescue scan when box clipping blocks the pair. No shrinking,
-/// no cache. Labels must be -1/+1 with both classes present.
+/// LIBSVM's exact box clipping (written out here, independently of
+/// ml::ExactPairBox), endpoint evaluation for eta <= 1e-12
+/// (ml::DegenerateEndpointAj), and a linear rescue scan when box
+/// clipping blocks the pair. No shrinking, no cache. Labels must be
+/// -1/+1 with both classes present.
 inline ReferenceSolution ReferenceSmo(const std::vector<float>& gram,
                                       const std::vector<int8_t>& y,
                                       const ml::SmoConfig& config) {
@@ -111,10 +113,23 @@ inline ReferenceSolution ReferenceSmo(const std::vector<float>& gram,
     if (i == j) return false;
     const double yi = y[i], yj = y[j];
     const double ai_old = alpha[i], aj_old = alpha[j];
-    const double lo = yi != yj ? std::max(0.0, aj_old - ai_old)
-                               : std::max(0.0, ai_old + aj_old - C);
-    const double hi = yi != yj ? std::min(C, C + aj_old - ai_old)
-                               : std::min(C, ai_old + aj_old);
+    // Exact clipping (LIBSVM): the pair invariant, diff = ai - aj for
+    // differing labels or sum = ai + aj for equal ones, is rounded once,
+    // and exact comparisons of it decide each box end. An end pins both
+    // alphas to exact values, never to rounded sums like C + aj - ai.
+    const bool differ = yi != yj;
+    const double diff = ai_old - aj_old;
+    const double sum = ai_old + aj_old;
+    double lo, hi, ai_at_lo, ai_at_hi;
+    if (differ && diff > 0.0) {
+      lo = 0.0, ai_at_lo = diff, hi = C - diff, ai_at_hi = C;
+    } else if (differ) {
+      lo = -diff, ai_at_lo = 0.0, hi = C, ai_at_hi = C + diff;
+    } else if (sum > C) {
+      lo = sum - C, ai_at_lo = C, hi = C, ai_at_hi = sum - C;
+    } else {
+      lo = 0.0, ai_at_lo = sum, hi = sum, ai_at_hi = 0.0;
+    }
     if (lo >= hi) return false;
     const double kii = K(i, i), kjj = K(j, j), kij = K(i, j);
     const double eta = kii + kjj - 2.0 * kij;
@@ -127,7 +142,9 @@ inline ReferenceSolution ReferenceSmo(const std::vector<float>& gram,
     if (std::abs(aj_new - aj_old) < 1e-12 * (aj_new + aj_old + 1e-12)) {
       return false;
     }
-    const double ai_new = ai_old + yi * yj * (aj_old - aj_new);
+    const double ai_new = aj_new == lo   ? ai_at_lo
+                          : aj_new == hi ? ai_at_hi
+                                         : ai_old + yi * yj * (aj_old - aj_new);
     alpha[i] = ai_new;
     alpha[j] = aj_new;
     const double b1 = bias - error[i] - yi * (ai_new - ai_old) * kii -

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -345,6 +346,75 @@ TEST(SmoDegenerateTest, DuplicateRowProblemStaysStableAndFeasible) {
   EXPECT_NEAR(eq, 0.0, 1e-6);
 }
 
+// --------------------------------------------------- exact box clipping --
+
+TEST(SmoExactBoxTest, LabelsDifferEqualAlphasClippedAtHiLandOnC) {
+  // ai == aj: diff = 0, so the hi end pins aj to C and ai to C + 0. The
+  // rounded box end min(C, C + aj - ai) this replaces is one ulp short
+  // of C, which left aj "free" but unable to move.
+  const double C = 100.0, a = 81.141226947301121;
+  ASSERT_EQ(std::min(C, C + a - a), 99.999999999999986);
+  const PairBox box = ExactPairBox(a, a, /*yi=*/1.0, /*yj=*/-1.0, C);
+  EXPECT_EQ(box.hi, C);
+  EXPECT_EQ(box.PartnerAi(box.hi), C);
+}
+
+TEST(SmoExactBoxTest, LabelsDifferClippedAtLoPutsAiExactlyOnZero) {
+  // ai < aj: the lo end is aj = aj - ai with ai exactly 0. Platt's
+  // partner formula lands ai at 5.7e-15 instead.
+  const double C = 100.0, ai = 0.1, aj = 81.141226947301121;
+  const double lo_old = std::max(0.0, aj - ai);
+  ASSERT_NE(ai + (-1.0) * (aj - lo_old), 0.0);
+  const PairBox box = ExactPairBox(ai, aj, /*yi=*/-1.0, /*yj=*/1.0, C);
+  EXPECT_EQ(box.lo, aj - ai);
+  EXPECT_EQ(box.PartnerAi(box.lo), 0.0);
+}
+
+TEST(SmoExactBoxTest, LabelsAgreeSumAboveCClippedAtLoPutsAiExactlyOnC) {
+  // sum > C: the lo end is aj = sum - C with ai exactly C. Platt's
+  // partner formula lands ai at 99.999999999999986.
+  const double C = 100.0, ai = 81.141226947301121, aj = 99.9;
+  const double lo_old = std::max(0.0, ai + aj - C);
+  ASSERT_NE(ai + (aj - lo_old), C);
+  const PairBox box = ExactPairBox(ai, aj, /*yi=*/1.0, /*yj=*/1.0, C);
+  EXPECT_EQ(box.lo, (ai + aj) - C);
+  EXPECT_EQ(box.PartnerAi(box.lo), C);
+}
+
+TEST(SmoExactBoxTest, InteriorStepKeepsPlattPartnerFormulaBitwise) {
+  const double C = 100.0, ai = 30.25, aj = 12.5;
+  for (const double yj : {-1.0, 1.0}) {
+    const PairBox box = ExactPairBox(ai, aj, /*yi=*/1.0, yj, C);
+    const double aj_new = 20.123456789;
+    ASSERT_GT(aj_new, box.lo);
+    ASSERT_LT(aj_new, box.hi);
+    EXPECT_EQ(box.PartnerAi(aj_new), ai + 1.0 * yj * (aj - aj_new));
+  }
+}
+
+TEST(SmoExactBoxTest, EveryEndPinsOneAlphaToABoundAndStaysFeasible) {
+  // All four box shapes (labels differ/agree x invariant above/below its
+  // threshold): at each end one of the two alphas sits exactly on 0 or
+  // C, and both stay inside [0, C].
+  const double C = 4.0;
+  struct Case {
+    double ai, aj, yj;
+  };
+  for (const Case& c : {Case{3.0, 1.0, -1.0}, Case{1.0, 3.0, -1.0},
+                        Case{3.0, 2.5, 1.0}, Case{1.0, 0.5, 1.0}}) {
+    const PairBox box = ExactPairBox(c.ai, c.aj, 1.0, c.yj, C);
+    ASSERT_LT(box.lo, box.hi);
+    for (const double aj_end : {box.lo, box.hi}) {
+      const double ai_end = box.PartnerAi(aj_end);
+      EXPECT_TRUE(ai_end == 0.0 || ai_end == C || aj_end == 0.0 ||
+                  aj_end == C)
+          << "ai=" << c.ai << " aj=" << c.aj << " end=" << aj_end;
+      EXPECT_GE(std::min(ai_end, aj_end), 0.0);
+      EXPECT_LE(std::max(ai_end, aj_end), C);
+    }
+  }
+}
+
 // ----------------------------------------------- WSS2 working-set select --
 
 TEST(SmoWss2SelectTest, TieBreaksToLowestIndexOnEqualGain) {
@@ -479,17 +549,13 @@ TEST(SmoShrinkTest, UnshrinkBeforeConvergenceKeepsFullProblemExact) {
   }
   EXPECT_NEAR(eq, 0.0, 1e-6);
 
-  // The shrink-free first-order reference heads for the same optimum:
-  // identical decision-function signs everywhere (the solutions
-  // themselves differ). First-order selection converges slowly at
-  // C = 50 — its full-problem violation is still ~0.04 after 100k
-  // iterations and ~0.014 after 2M — but its signs agree with the
-  // production solution from 20k iterations on, so a 100k budget keeps
-  // this comparison fast.
-  SmoConfig reference_cfg = cfg;
-  reference_cfg.max_iterations = 100000;
-  const test::ReferenceSolution base =
-      test::ReferenceSmo(gram, y, reference_cfg);
+  // The shrink-free first-order reference converges to the same optimum
+  // at the same budget: identical decision-function signs everywhere
+  // (the solutions themselves differ).
+  const test::ReferenceSolution base = test::ReferenceSmo(gram, y, cfg);
+  ASSERT_TRUE(base.converged);
+  EXPECT_LT(FullProblemViolation(gram, y, base.alpha, cfg.C),
+            cfg.tolerance + 1e-6);
   for (size_t t = 0; t < n; ++t) {
     double f_shrink = sol.value().bias, f_base = base.bias;
     for (size_t s = 0; s < n; ++s) {
