@@ -56,7 +56,7 @@ SERVING_RE = re.compile(
 
 # Stable marker printed by bench::PrintPackedStats (the match-counting
 # benches: 1-NN and the SVM families):
-#   [packed] backend=native builds=12 rows=7200 words_per_row=2.00 \
+#   [packed] backend=swar builds=12 rows=7200 words_per_row=2.00 \
 #       evals=48000 eval_words=96000
 # (words_per_row=n/a when nothing was packed inside the stats scope).
 # The full schema is documented in docs/BENCH_SCHEMA.md.

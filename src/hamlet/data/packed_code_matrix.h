@@ -5,7 +5,7 @@
 // kernels) only ever ask "equal or not", so the codes compress into
 // fixed-width bit fields — 16-64 codes per cache line — and the
 // comparisons become XOR + carry trick + popcount over uint64_t words
-// (simd/simd.h has the field layout and the backend implementations).
+// (simd/simd.h has the field layout and the match-counting helpers).
 //
 // A PackedCodeMatrix is built once per Fit/PredictAll next to the dense
 // matrix it mirrors and is immutable afterwards. Rows are comparable only

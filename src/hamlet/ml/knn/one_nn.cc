@@ -52,8 +52,7 @@ Result<std::unique_ptr<OneNearestNeighbor>> OneNearestNeighbor::LoadBody(
   return Result<std::unique_ptr<OneNearestNeighbor>>(std::move(model));
 }
 
-size_t OneNearestNeighbor::NearestIndexOfPacked(simd::Backend backend,
-                                                const uint64_t* query) const {
+size_t OneNearestNeighbor::NearestIndexOfPacked(const uint64_t* query) const {
   assert(train_.num_rows() > 0);
   const simd::PackedLayout& layout = packed_train_.layout();
   size_t best = 0;
@@ -66,7 +65,7 @@ size_t OneNearestNeighbor::NearestIndexOfPacked(simd::Backend backend,
   // the scalar per-feature scan.
   for (size_t r = 0; r < n; ++r) {
     const size_t dist = simd::PackedMismatchCountBounded(
-        backend, layout, packed_train_.row(r), query, best_dist);
+        layout, packed_train_.row(r), query, best_dist);
     if (dist < best_dist) {
       best_dist = dist;
       best = r;
@@ -82,7 +81,7 @@ size_t OneNearestNeighbor::NearestIndexOfCodes(const uint32_t* query) const {
   const simd::PackedLayout& layout = packed_train_.layout();
   uint64_t* packed_query = ThreadLocalPackScratch(layout.words_per_row);
   layout.PackRow(query, packed_query);
-  return NearestIndexOfPacked(simd::ActiveBackend(), packed_query);
+  return NearestIndexOfPacked(packed_query);
 }
 
 size_t OneNearestNeighbor::NearestIndex(const DataView& view,
@@ -99,15 +98,12 @@ uint8_t OneNearestNeighbor::Predict(const DataView& view, size_t i) const {
 std::vector<uint8_t> OneNearestNeighbor::PredictAll(
     const DataView& view) const {
   assert(view.num_features() == train_.num_features());
-  // Backend resolved once for the batch; each worker thread packs its
-  // query row into its own scratch slab.
-  const simd::Backend backend = simd::ActiveBackend();
+  // Each worker thread packs its query row into its own scratch slab.
   const simd::PackedLayout& layout = packed_train_.layout();
-  return DensePredictAll(view, [&, backend](const CodeMatrix& queries,
-                                            size_t i) {
+  return DensePredictAll(view, [&](const CodeMatrix& queries, size_t i) {
     uint64_t* packed_query = ThreadLocalPackScratch(layout.words_per_row);
     layout.PackRow(queries.row(i), packed_query);
-    return train_.label(NearestIndexOfPacked(backend, packed_query));
+    return train_.label(NearestIndexOfPacked(packed_query));
   });
 }
 

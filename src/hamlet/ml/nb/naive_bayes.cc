@@ -33,20 +33,18 @@ Status NaiveBayes::Fit(const DataView& train) {
   // (code, label) counts in a single flat buffer (prefix offsets of
   // 2 * domain_size per feature), so the hot loop has no per-feature
   // pointer chase. The counts are integers accumulated through the
-  // simd backend helper (multi-lane histograms; the lane split breaks
-  // the store-to-load dependency between adjacent rows). Integer sums
-  // are order-independent and every count is far below 2^53, so the
-  // double conversion below is exact and the log tables stay
-  // bit-identical across backends, thread counts and the old
-  // double-accumulating loop.
+  // simd helper (two-lane histograms; the lane split breaks the
+  // store-to-load dependency between adjacent rows). Integer sums are
+  // order-independent and every count is far below 2^53, so the double
+  // conversion below is exact and the log tables stay bit-identical
+  // across thread counts and the old double-accumulating loop.
   std::vector<size_t> offsets(d_ + 1, 0);
   for (size_t j = 0; j < d_; ++j) {
     offsets[j + 1] = offsets[j] + static_cast<size_t>(m.domain_size(j)) * 2;
   }
   std::vector<uint32_t> counts(offsets[d_], 0);
-  simd::CountCodeLabelPairs(simd::ActiveBackend(), m.codes().data(),
-                            m.labels().data(), n, d_, offsets.data(),
-                            counts.data());
+  simd::CountCodeLabelPairs(m.codes().data(), m.labels().data(), n, d_,
+                            offsets.data(), counts.data());
 
   log_likelihood_.assign(d_, {});
   for (size_t j = 0; j < d_; ++j) {

@@ -47,10 +47,10 @@ double KernelEval(const KernelConfig& config, const uint32_t* a,
   return KernelFromMatches(config, MatchCount(a, b, d), d);
 }
 
-double PackedKernelEval(const KernelConfig& config, simd::Backend backend,
+double PackedKernelEval(const KernelConfig& config,
                         const simd::PackedLayout& layout, const uint64_t* a,
                         const uint64_t* b) {
-  const size_t matches = simd::PackedMatchCount(backend, layout, a, b);
+  const size_t matches = simd::PackedMatchCount(layout, a, b);
   return KernelFromMatches(config, matches, layout.num_features);
 }
 

@@ -138,14 +138,12 @@ class KernelCache : public KernelRowSource {
   }
 
   CodeMatrix matrix_;
-  // Bit-packed mirror of matrix_ plus the backend resolved once at
-  // construction: every kernel evaluation this cache performs runs
-  // popcount-over-words instead of the scalar code scan (bit-identical;
-  // see simd/simd.h). Eval counters accumulate locally (ComputeRow/At are
-  // const, hence mutable) and flush to the process-wide packed totals in
-  // the destructor, like hits_/misses_.
+  // Bit-packed mirror of matrix_: every kernel evaluation this cache
+  // performs runs popcount-over-words instead of the scalar code scan
+  // (bit-identical; see simd/simd.h). Eval counters accumulate locally
+  // (ComputeRow/At are const, hence mutable) and flush to the
+  // process-wide packed totals in the destructor, like hits_/misses_.
   PackedCodeMatrix packed_;
-  simd::Backend backend_ = simd::Backend::kSwar;
   mutable uint64_t packed_evals_ = 0;
   mutable uint64_t packed_words_ = 0;
   KernelConfig kernel_;

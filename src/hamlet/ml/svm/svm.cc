@@ -167,14 +167,13 @@ Result<std::unique_ptr<KernelSvm>> KernelSvm::LoadBody(
   return Result<std::unique_ptr<KernelSvm>>(std::move(model));
 }
 
-double KernelSvm::DecisionValueOfPacked(simd::Backend backend,
-                                        const uint64_t* query) const {
+double KernelSvm::DecisionValueOfPacked(const uint64_t* query) const {
   double f = bias_;
   const size_t num_sv = sv_coeff_.size();
   const size_t words_per_row = sv_layout_.words_per_row;
   for (size_t s = 0; s < num_sv; ++s) {
     f += sv_coeff_[s] *
-         PackedKernelEval(config_.kernel, backend, sv_layout_,
+         PackedKernelEval(config_.kernel, sv_layout_,
                           sv_packed_.data() + s * words_per_row, query);
   }
   simd::AccumulatePackedEvals(
@@ -185,7 +184,7 @@ double KernelSvm::DecisionValueOfPacked(simd::Backend backend,
 double KernelSvm::DecisionValueOfCodes(const uint32_t* query) const {
   uint64_t* packed_query = ThreadLocalPackScratch(sv_layout_.words_per_row);
   sv_layout_.PackRow(query, packed_query);
-  return DecisionValueOfPacked(simd::ActiveBackend(), packed_query);
+  return DecisionValueOfPacked(packed_query);
 }
 
 double KernelSvm::DecisionValue(const DataView& view, size_t i) const {
@@ -203,15 +202,12 @@ std::vector<uint8_t> KernelSvm::PredictAll(const DataView& view) const {
     return std::vector<uint8_t>(view.num_rows(), constant_prediction_);
   }
   assert(view.num_features() == d_);
-  // Backend resolved once for the batch; each worker thread packs its
-  // query row into its own scratch slab.
-  const simd::Backend backend = simd::ActiveBackend();
-  return DensePredictAll(view, [&, backend](const CodeMatrix& queries,
-                                            size_t i) {
+  // Each worker thread packs its query row into its own scratch slab.
+  return DensePredictAll(view, [&](const CodeMatrix& queries, size_t i) {
     uint64_t* packed_query = ThreadLocalPackScratch(sv_layout_.words_per_row);
     sv_layout_.PackRow(queries.row(i), packed_query);
-    return DecisionValueOfPacked(backend, packed_query) >= 0.0 ? uint8_t{1}
-                                                               : uint8_t{0};
+    return DecisionValueOfPacked(packed_query) >= 0.0 ? uint8_t{1}
+                                                      : uint8_t{0};
   });
 }
 

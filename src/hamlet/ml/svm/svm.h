@@ -92,8 +92,7 @@ class KernelSvm : public Classifier {
   void PackSupportVectors(const std::vector<uint32_t>& domains);
   /// Decision value for a query already packed under sv_layout_; the
   /// shared kernel-sum loop of Predict/PredictAll/DecisionValue.
-  double DecisionValueOfPacked(simd::Backend backend,
-                               const uint64_t* query) const;
+  double DecisionValueOfPacked(const uint64_t* query) const;
 
   SvmConfig config_;
   bool fitted_ = false;

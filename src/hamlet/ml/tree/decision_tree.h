@@ -28,7 +28,6 @@
 #include "hamlet/data/code_matrix.h"
 #include "hamlet/ml/classifier.h"
 #include "hamlet/ml/tree/criterion.h"
-#include "hamlet/simd/simd.h"
 
 namespace hamlet {
 namespace ml {
@@ -118,12 +117,9 @@ class DecisionTree : public Classifier {
   std::vector<TreeNode> nodes_;
   int root_ = -1;
   size_t num_features_ = 0;
-  // Scratch (valid during Fit only): per-feature per-code counters, and
-  // the simd backend resolved once per Fit for the split-scan gathers
-  // (BuildNode recurses, so the env knob is read once, not per node).
+  // Scratch (valid during Fit only): per-feature per-code counters.
   std::vector<std::vector<uint32_t>> scratch_count_;
   std::vector<std::vector<uint32_t>> scratch_pos_;
-  simd::Backend fit_backend_ = simd::Backend::kSwar;
 };
 
 }  // namespace ml

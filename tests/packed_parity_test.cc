@@ -1,11 +1,10 @@
-// Cross-backend parity harness for the packed-code hot loops (PR 10).
+// Parity harness for the packed-code hot loops.
 //
-// The contract under test: the scalar, SWAR and native simd backends
-// return bit-identical integer counts for every input, and therefore
-// every learner family fits and predicts bit-identically whichever
-// backend HAMLET_SIMD selects, at any thread count. Plus the
-// PackedCodeMatrix layout/round-trip/bounds edge cases and the pinned
-// 1-NN early-exit + tie-break semantics.
+// The contract under test: the simd match-counting primitives return the
+// same integer counts as plain loops over the unpacked codes, and every
+// learner family therefore fits and predicts bit-identically at any
+// thread count. Plus the PackedCodeMatrix layout/round-trip/bounds edge
+// cases and the pinned 1-NN early-exit + tie-break semantics.
 
 #include <gtest/gtest.h>
 
@@ -27,10 +26,7 @@ namespace hamlet {
 namespace test {
 namespace {
 
-constexpr simd::Backend kAllBackends[] = {
-    simd::Backend::kScalar, simd::Backend::kSwar, simd::Backend::kNative};
-
-/// The definitional mismatch count the packed backends must reproduce.
+/// The definitional mismatch count the packed path must reproduce.
 size_t ReferenceMismatch(const uint32_t* a, const uint32_t* b, size_t d) {
   size_t mismatches = 0;
   for (size_t j = 0; j < d; ++j) mismatches += a[j] != b[j];
@@ -145,11 +141,9 @@ TEST(PackedCodeMatrixTest, ZeroRowAndZeroFeatureBuilds) {
   const PackedCodeMatrix empty_rows(no_features, nullptr, 2);
   EXPECT_EQ(empty_rows.num_rows(), 2u);
   EXPECT_EQ(empty_rows.num_words(), 0u);
-  for (const simd::Backend backend : kAllBackends) {
-    EXPECT_EQ(simd::PackedMismatchCount(backend, no_features,
-                                        empty_rows.row(0), empty_rows.row(1)),
-              0u);
-  }
+  EXPECT_EQ(simd::PackedMismatchCount(no_features, empty_rows.row(0),
+                                      empty_rows.row(1)),
+            0u);
 }
 
 #if !defined(NDEBUG) || defined(HAMLET_CHECK_BOUNDS)
@@ -172,14 +166,14 @@ TEST(PackedCodeMatrixDeathTest, OutOfBoundsAborts) {
 #endif
 
 // ---------------------------------------------------------------------
-// Backend agreement on the counting primitives.
+// Counting primitives against plain loops over the unpacked codes.
 
 TEST(PackedPrimitiveParity, MismatchCountsAgreeAcrossShapes) {
   Rng rng(77);
   // Shapes stress the layout edges: no features, one feature, feature
-  // counts that are not a multiple of the word lane count, a single row,
-  // max-domain codes (one field per word), and long rows (words_per_row
-  // >= 8 drives the native AVX2 block path where the host has it).
+  // counts that are not a multiple of the fields per word, a single row,
+  // max-domain codes (one field per word), and long multi-word rows
+  // (10 and 52 words).
   const std::vector<std::pair<size_t, std::vector<uint32_t>>> shapes = {
       {3, {}},
       {6, std::vector<uint32_t>(1, 2)},
@@ -200,15 +194,13 @@ TEST(PackedPrimitiveParity, MismatchCountsAgreeAcrossShapes) {
       for (size_t j = 0; j < rows; ++j) {
         const size_t ref =
             ReferenceMismatch(codes.data() + i * d, codes.data() + j * d, d);
-        for (const simd::Backend backend : kAllBackends) {
-          EXPECT_EQ(simd::PackedMismatchCount(backend, layout, packed.row(i),
-                                              packed.row(j)),
-                    ref)
-              << "d=" << d << " backend=" << simd::BackendName(backend);
-          EXPECT_EQ(simd::PackedMatchCount(backend, layout, packed.row(i),
-                                           packed.row(j)),
-                    d - ref);
-        }
+        EXPECT_EQ(simd::PackedMismatchCount(layout, packed.row(i),
+                                            packed.row(j)),
+                  ref)
+            << "d=" << d;
+        EXPECT_EQ(
+            simd::PackedMatchCount(layout, packed.row(i), packed.row(j)),
+            d - ref);
       }
     }
   }
@@ -223,12 +215,9 @@ TEST(PackedPrimitiveParity, AllEqualRowsHaveZeroMismatches) {
   const simd::PackedLayout layout =
       simd::PackedLayout::ForDomains(domains.data(), domains.size());
   const PackedCodeMatrix packed(layout, codes.data(), 4);
-  for (const simd::Backend backend : kAllBackends) {
-    for (size_t i = 0; i < 4; ++i) {
-      EXPECT_EQ(simd::PackedMismatchCount(backend, layout, packed.row(0),
-                                          packed.row(i)),
-                0u);
-    }
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(simd::PackedMismatchCount(layout, packed.row(0), packed.row(i)),
+              0u);
   }
 }
 
@@ -244,18 +233,16 @@ TEST(PackedPrimitiveParity, BoundedCountHonoursItsContract) {
     for (size_t j = 0; j < 8; ++j) {
       const size_t ref = ReferenceMismatch(codes.data() + i * d, codes.data() + j * d, d);
       for (const size_t limit : {size_t{0}, size_t{1}, ref, ref + 1, d + 1}) {
-        for (const simd::Backend backend : kAllBackends) {
-          const size_t bounded = simd::PackedMismatchCountBounded(
-              backend, layout, packed.row(i), packed.row(j), limit);
-          // Partial sums never exceed the true count; a result below the
-          // limit must be exact, and an abandoned scan must prove the
-          // true count reached the limit too.
-          EXPECT_LE(bounded, ref);
-          if (bounded < limit) {
-            EXPECT_EQ(bounded, ref);
-          } else {
-            EXPECT_GE(ref, limit);
-          }
+        const size_t bounded = simd::PackedMismatchCountBounded(
+            layout, packed.row(i), packed.row(j), limit);
+        // Partial sums never exceed the true count; a result below the
+        // limit must be exact, and an abandoned scan must prove the true
+        // count reached the limit too.
+        EXPECT_LE(bounded, ref);
+        if (bounded < limit) {
+          EXPECT_EQ(bounded, ref);
+        } else {
+          EXPECT_GE(ref, limit);
         }
       }
     }
@@ -285,16 +272,82 @@ TEST(PackedPrimitiveParity, KernelValuesBitIdentical) {
       for (size_t j = 0; j < rows; ++j) {
         const double scalar_value =
             ml::KernelEval(config, codes.data() + i * d, codes.data() + j * d, d);
-        for (const simd::Backend backend : kAllBackends) {
-          // EXPECT_EQ, not NEAR: equal match counts through the shared
-          // KernelFromMatches must give the same bits.
-          EXPECT_EQ(ml::PackedKernelEval(config, backend, layout,
-                                         packed.row(i), packed.row(j)),
-                    scalar_value)
-              << ml::KernelTypeName(config.type) << " backend="
-              << simd::BackendName(backend);
-        }
+        // EXPECT_EQ, not NEAR: equal match counts through the shared
+        // KernelFromMatches must give the same bits.
+        EXPECT_EQ(ml::PackedKernelEval(config, layout, packed.row(i),
+                                       packed.row(j)),
+                  scalar_value)
+            << ml::KernelTypeName(config.type);
       }
+    }
+  }
+}
+
+TEST(PackedPrimitiveParity, CountCodeLabelPairsMatchesPlainLoop) {
+  // n covers the single-histogram fallback (n < 8), the first two-lane
+  // input (8), and ragged tails after the lane pairs (9, 33).
+  const std::vector<uint32_t> domains = {3, 1, 7, 2};
+  const size_t d = domains.size();
+  std::vector<size_t> offsets(d + 1, 0);
+  for (size_t j = 0; j < d; ++j) offsets[j + 1] = offsets[j] + 2 * domains[j];
+  Rng rng(515);
+  for (const size_t n : {0u, 1u, 7u, 8u, 9u, 33u}) {
+    const std::vector<uint32_t> codes = RandomCodes(rng, n, domains);
+    std::vector<uint8_t> labels(n);
+    for (uint8_t& label : labels) {
+      label = static_cast<uint8_t>(rng.Bernoulli(0.5));
+    }
+    std::vector<uint32_t> expected(offsets[d], 0);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < d; ++j) {
+        ++expected[offsets[j] + codes[i * d + j] * 2 + labels[i]];
+      }
+    }
+    // Counts accumulate onto the caller's buffer, so start from a
+    // non-zero one.
+    std::vector<uint32_t> counts(offsets[d], 5);
+    for (uint32_t& count : expected) count += 5;
+    simd::CountCodeLabelPairs(codes.data(), labels.data(), n, d,
+                              offsets.data(), counts.data());
+    EXPECT_EQ(counts, expected) << "n=" << n;
+  }
+}
+
+TEST(PackedPrimitiveParity, SplitStatsScanMatchesPlainLoop) {
+  const std::vector<uint32_t> domains = {5, 11, 2};
+  const size_t d = domains.size();
+  const size_t num_rows = 40;
+  Rng rng(616);
+  const std::vector<uint32_t> codes = RandomCodes(rng, num_rows, domains);
+  std::vector<uint8_t> labels(num_rows);
+  for (uint8_t& label : labels) {
+    label = static_cast<uint8_t>(rng.Bernoulli(0.5));
+  }
+  std::vector<uint32_t> row_ids(num_rows);
+  for (size_t i = 0; i < num_rows; ++i) row_ids[i] = static_cast<uint32_t>(i);
+  rng.Shuffle(row_ids);
+  // Odd and even n scan a prefix of the shuffled ids, so the unrolled
+  // pairs gather non-adjacent rows and odd n leaves a one-row tail.
+  for (const size_t n : {0u, 1u, 2u, 17u, 24u, 39u, 40u}) {
+    for (size_t feature = 0; feature < d; ++feature) {
+      std::vector<uint32_t> expected_count(domains[feature], 0);
+      std::vector<uint32_t> expected_pos(domains[feature], 0);
+      std::vector<uint32_t> expected_touched;
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t c = codes[row_ids[i] * d + feature];
+        if (expected_count[c] == 0) expected_touched.push_back(c);
+        ++expected_count[c];
+        expected_pos[c] += labels[row_ids[i]];
+      }
+      std::vector<uint32_t> count(domains[feature], 0);
+      std::vector<uint32_t> pos_count(domains[feature], 0);
+      std::vector<uint32_t> touched;
+      simd::SplitStatsScan(codes.data(), d, labels.data(), row_ids.data(), n,
+                           feature, count.data(), pos_count.data(), touched);
+      EXPECT_EQ(count, expected_count) << "n=" << n << " feature=" << feature;
+      EXPECT_EQ(pos_count, expected_pos) << "n=" << n << " feature=" << feature;
+      EXPECT_EQ(touched, expected_touched)
+          << "n=" << n << " feature=" << feature;
     }
   }
 }
@@ -304,29 +357,26 @@ TEST(PackedPrimitiveParity, KernelValuesBitIdentical) {
 
 TEST(PackedOneNnSemantics, TieBreaksToLowestIndex) {
   // Rows 1 and 3 are identical; both are nearest to the query. The scan
-  // must return index 1 on every backend.
+  // must return index 1.
   const std::vector<uint32_t> domains = {4, 4, 4};
   const Dataset data = MakeDatasetFromRows(
       domains,
       {{0, 0, 0}, {2, 1, 3}, {3, 3, 3}, {2, 1, 3}, {2, 1, 0}},
       {0, 1, 0, 1, 0});
-  for (const char* backend : {"scalar", "swar", "native"}) {
-    ScopedEnvVar simd_env("HAMLET_SIMD", backend);
-    ml::OneNearestNeighbor model;
-    ASSERT_TRUE(model.Fit(DataView(&data)).ok());
-    const uint32_t query[] = {2, 1, 3};
-    EXPECT_EQ(model.NearestIndexOfCodes(query), 1u) << backend;
-    // A query matching row 0 exactly must short-circuit to index 0 even
-    // though later rows tie at distance 0.
-    const uint32_t zero_query[] = {0, 0, 0};
-    EXPECT_EQ(model.NearestIndexOfCodes(zero_query), 0u) << backend;
-  }
+  ml::OneNearestNeighbor model;
+  ASSERT_TRUE(model.Fit(DataView(&data)).ok());
+  const uint32_t query[] = {2, 1, 3};
+  EXPECT_EQ(model.NearestIndexOfCodes(query), 1u);
+  // A query matching row 0 exactly must short-circuit to index 0 even
+  // though later rows tie at distance 0.
+  const uint32_t zero_query[] = {0, 0, 0};
+  EXPECT_EQ(model.NearestIndexOfCodes(zero_query), 0u);
 }
 
 TEST(PackedOneNnSemantics, EarlyExitMatchesBruteForceScan) {
   // The packed scan abandons rows at word granularity once the running
   // distance reaches the incumbent best; the winner (and its tie-break)
-  // must still match an exhaustive argmin on every backend.
+  // must still match an exhaustive argmin.
   Rng rng(909);
   const std::vector<uint32_t> domains = {6, 6, 3, 9, 2, 17, 4, 6, 2, 5,
                                          3, 7, 2};
@@ -345,62 +395,27 @@ TEST(PackedOneNnSemantics, EarlyExitMatchesBruteForceScan) {
   rows[40] = rows[7];
   const Dataset data = MakeDatasetFromRows(domains, rows, labels);
 
-  for (const char* backend : {"scalar", "swar", "native"}) {
-    ScopedEnvVar simd_env("HAMLET_SIMD", backend);
-    ml::OneNearestNeighbor model;
-    ASSERT_TRUE(model.Fit(DataView(&data)).ok());
-    Rng query_rng(4242);
-    for (size_t q = 0; q < 48; ++q) {
-      std::vector<uint32_t> query(d);
-      for (size_t j = 0; j < d; ++j) {
-        query[j] = static_cast<uint32_t>(query_rng.UniformInt(domains[j]));
-      }
-      // Some queries coincide with training rows (distance 0 paths).
-      if (q % 8 == 0) query = rows[q % n];
-      size_t best = 0;
-      size_t best_dist = d + 1;
-      for (size_t r = 0; r < n; ++r) {
-        const size_t dist =
-            ReferenceMismatch(rows[r].data(), query.data(), d);
-        if (dist < best_dist) {
-          best_dist = dist;
-          best = r;
-        }
-      }
-      EXPECT_EQ(model.NearestIndexOfCodes(query.data()), best)
-          << "backend=" << backend << " query=" << q;
+  ml::OneNearestNeighbor model;
+  ASSERT_TRUE(model.Fit(DataView(&data)).ok());
+  Rng query_rng(4242);
+  for (size_t q = 0; q < 48; ++q) {
+    std::vector<uint32_t> query(d);
+    for (size_t j = 0; j < d; ++j) {
+      query[j] = static_cast<uint32_t>(query_rng.UniformInt(domains[j]));
     }
-  }
-}
-
-// ---------------------------------------------------------------------
-// Env grammar and backend availability.
-
-TEST(SimdEnvTest, BackendGrammar) {
-  const simd::Backend auto_backend = simd::NativeAvailable()
-                                         ? simd::Backend::kNative
-                                         : simd::Backend::kSwar;
-  {
-    ScopedEnvVar env("HAMLET_SIMD", "scalar");
-    EXPECT_EQ(simd::ActiveBackend(), simd::Backend::kScalar);
-  }
-  {
-    ScopedEnvVar env("HAMLET_SIMD", "swar");
-    EXPECT_EQ(simd::ActiveBackend(), simd::Backend::kSwar);
-  }
-  {
-    ScopedEnvVar env("HAMLET_SIMD", "native");
-    // On hosts without hardware popcount the request degrades (with a
-    // one-time warning) to swar.
-    EXPECT_EQ(simd::ActiveBackend(), auto_backend);
-  }
-  for (const char* value : {"auto", "", "SCALAR", "avx512", "0"}) {
-    ScopedEnvVar env("HAMLET_SIMD", value);
-    EXPECT_EQ(simd::ActiveBackend(), auto_backend) << "\"" << value << "\"";
-  }
-  {
-    ScopedEnvVar env("HAMLET_SIMD", nullptr);
-    EXPECT_EQ(simd::ActiveBackend(), auto_backend);
+    // Some queries coincide with training rows (distance 0 paths).
+    if (q % 8 == 0) query = rows[q % n];
+    size_t best = 0;
+    size_t best_dist = d + 1;
+    for (size_t r = 0; r < n; ++r) {
+      const size_t dist = ReferenceMismatch(rows[r].data(), query.data(), d);
+      if (dist < best_dist) {
+        best_dist = dist;
+        best = r;
+      }
+    }
+    EXPECT_EQ(model.NearestIndexOfCodes(query.data()), best)
+        << "query=" << q;
   }
 }
 
@@ -435,7 +450,7 @@ TEST(PackedStatsTest, CountersAccumulateAndReset) {
 }
 
 // ---------------------------------------------------------------------
-// Every learner family, every backend, multiple thread counts.
+// Every learner family at multiple thread counts.
 
 TEST(PackedBackendParity, LearnersBitIdenticalAcrossBackendsAndThreads) {
   const std::vector<uint32_t> domains = {4, 9, 3, 17, 2, 33, 5};
@@ -445,22 +460,18 @@ TEST(PackedBackendParity, LearnersBitIdenticalAcrossBackendsAndThreads) {
   for (const ParityLearner& learner : ParityLearners()) {
     std::vector<uint8_t> baseline;
     bool have_baseline = false;
-    for (const char* backend : {"scalar", "swar", "native"}) {
-      for (const char* threads : {"1", "4"}) {
-        ScopedEnvVar simd_env("HAMLET_SIMD", backend);
-        ScopedThreads threads_env(threads);
-        auto model = learner.make();
-        ASSERT_TRUE(model->Fit(views.train).ok()) << learner.name;
-        const std::vector<uint8_t> predictions =
-            ExpectPredictParity(*model, views.test);
-        if (!have_baseline) {
-          baseline = predictions;
-          have_baseline = true;
-        } else {
-          EXPECT_EQ(predictions, baseline)
-              << learner.name << " diverges at backend=" << backend
-              << " threads=" << threads;
-        }
+    for (const char* threads : {"1", "4"}) {
+      ScopedThreads threads_env(threads);
+      auto model = learner.make();
+      ASSERT_TRUE(model->Fit(views.train).ok()) << learner.name;
+      const std::vector<uint8_t> predictions =
+          ExpectPredictParity(*model, views.test);
+      if (!have_baseline) {
+        baseline = predictions;
+        have_baseline = true;
+      } else {
+        EXPECT_EQ(predictions, baseline)
+            << learner.name << " diverges at threads=" << threads;
       }
     }
   }
