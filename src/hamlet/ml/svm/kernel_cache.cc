@@ -103,13 +103,13 @@ bool KernelCache::Cached(size_t i) const {
   return slot_of_row_[i] >= 0;
 }
 
-void KernelCache::ComputeRow(size_t i, float* out) const {
+void KernelCache::ComputeRow(size_t i, float* out) {
   const simd::PackedLayout& layout = packed_.layout();
   const uint64_t* ri = packed_.row(i);
   // Each entry is the kernel value narrowed to float, bit-identical to
-  // At() and Diag(). Under an active restriction only the restricted
-  // columns are computed; the others stay whatever the slot held before
-  // (callers must not read them).
+  // Diag(). Under an active restriction only the restricted columns are
+  // computed; the others stay whatever the slot held before (callers
+  // must not read them).
   size_t cols;
   if (restrict_idx_.empty()) {
     const size_t n = matrix_.num_rows();
@@ -167,22 +167,6 @@ void KernelCache::MoveToFront(int32_t slot) {
   if (head_ == slot) return;
   Detach(slot);
   PushFront(slot);
-}
-
-float KernelCache::At(size_t i, size_t j) const {
-  assert(i < matrix_.num_rows() && j < matrix_.num_rows());
-  if (i == j) return diag_[i];
-  // While restricted, only restricted indices may be probed (a partial
-  // resident row holds valid entries exactly at the restriction).
-  assert(InRestriction(i) && InRestriction(j));
-  const int32_t si = slot_of_row_[i];
-  if (si >= 0 && SlotUsable(si)) return slots_[static_cast<size_t>(si)][j];
-  const int32_t sj = slot_of_row_[j];
-  if (sj >= 0 && SlotUsable(sj)) return slots_[static_cast<size_t>(sj)][i];
-  ++packed_evals_;
-  packed_words_ += packed_.layout().words_per_row;
-  return static_cast<float>(PackedKernelEval(
-      kernel_, packed_.layout(), packed_.row(i), packed_.row(j)));
 }
 
 const float* KernelCache::Row(size_t i) {

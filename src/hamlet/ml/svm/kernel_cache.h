@@ -84,15 +84,8 @@ class KernelCache : public KernelRowSource {
   /// just those columns, so shrunk SMO sweeps never fault in dead ones.
   const float* Row(size_t i) override;
 
-  /// Serves diagonal entries from a precomputed per-fit array (libsvm's
-  /// QD — the diagonal never changes), reads a resident row when either
-  /// i's or j's row is cached (the matrix is symmetric) and falls back
-  /// to a single O(d) KernelEval otherwise. Never computes or evicts a
-  /// row and never counts as a hit or miss.
-  float At(size_t i, size_t j) const override;
-
   /// The per-fit diagonal K(x_t, x_t) (libsvm's QD), computed once in
-  /// the constructor; WSS2 reads eta candidates straight from it.
+  /// the constructor; WSS2 and the pair step read it instead of rows.
   const float* Diag() const override { return diag_.data(); }
 
   /// Narrows Row() computation to the given ascending subset of original
@@ -120,7 +113,7 @@ class KernelCache : public KernelRowSource {
   bool Cached(size_t i) const;
 
  private:
-  void ComputeRow(size_t i, float* out) const;
+  void ComputeRow(size_t i, float* out);
   void MoveToFront(int32_t slot);
   void PushFront(int32_t slot);
   void Detach(int32_t slot);
@@ -141,11 +134,11 @@ class KernelCache : public KernelRowSource {
   // Bit-packed mirror of matrix_: every kernel evaluation this cache
   // performs runs popcount-over-words instead of the scalar code scan
   // (bit-identical; see simd/simd.h). Eval counters accumulate locally
-  // (ComputeRow/At are const, hence mutable) and flush to the
-  // process-wide packed totals in the destructor, like hits_/misses_.
+  // and flush to the process-wide packed totals in the destructor, like
+  // hits_/misses_.
   PackedCodeMatrix packed_;
-  mutable uint64_t packed_evals_ = 0;
-  mutable uint64_t packed_words_ = 0;
+  uint64_t packed_evals_ = 0;
+  uint64_t packed_words_ = 0;
   KernelConfig kernel_;
   std::vector<float> diag_;  // K(x_i, x_i), fixed per fit
   size_t capacity_rows_ = 1;

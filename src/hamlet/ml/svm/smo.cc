@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
+#include <cassert>
 #include <limits>
 #include <numeric>
 
@@ -18,6 +18,11 @@ std::atomic<uint64_t> g_smo_fits{0};
 std::atomic<uint64_t> g_smo_iterations{0};
 std::atomic<uint64_t> g_smo_shrink_events{0};
 std::atomic<uint64_t> g_smo_unshrink_events{0};
+
+/// LIBSVM's curvature floor: eta = kii + kjj - 2 kij is clamped below by
+/// tau both when WSS2 scores a candidate and when the pair steps, so a
+/// duplicate row (eta = 0) takes a large step that the box then clips.
+constexpr double kTau = 1e-12;
 
 }  // namespace
 
@@ -37,35 +42,6 @@ void ResetGlobalSmoTotals() {
   g_smo_iterations.store(0, std::memory_order_relaxed);
   g_smo_shrink_events.store(0, std::memory_order_relaxed);
   g_smo_unshrink_events.store(0, std::memory_order_relaxed);
-}
-
-double DegenerateEndpointAj(double lo, double hi, double ai_old,
-                            double aj_old, double yi, double yj,
-                            double error_i, double error_j, double bias,
-                            double kii, double kjj, double kij) {
-  // Pair-restricted dual objective (others fixed, constants dropped):
-  //   psi(a1, a2) = 1/2 kii a1^2 + 1/2 kjj a2^2 + s kij a1 a2
-  //                 + f1 a1 + f2 a2
-  // with a1 tied to a2 by the equality constraint. f1/f2 follow Platt's
-  // pseudocode (§12.2.1) with the bias sign flipped for our f = sum + b
-  // convention (Platt uses u = w.x - b).
-  const double s = yi * yj;
-  const double f1 = yi * (error_i - bias) - ai_old * kii - s * aj_old * kij;
-  const double f2 = yj * (error_j - bias) - s * ai_old * kij - aj_old * kjj;
-  const double l1 = ai_old + s * (aj_old - lo);
-  const double h1 = ai_old + s * (aj_old - hi);
-  const double lobj = 0.5 * l1 * l1 * kii + 0.5 * lo * lo * kjj +
-                      s * lo * l1 * kij + l1 * f1 + lo * f2;
-  const double hobj = 0.5 * h1 * h1 * kii + 0.5 * hi * hi * kjj +
-                      s * hi * h1 * kij + h1 * f1 + hi * f2;
-  // Minimise; a tie within rounding noise means no progress at either
-  // end, so stay put (the caller's no-movement check then returns false
-  // instead of shuffling mass between equivalent iterates).
-  const double eps =
-      1e-12 * (std::abs(lobj) + std::abs(hobj) + 1.0);
-  if (lobj < hobj - eps) return lo;
-  if (hobj < lobj - eps) return hi;
-  return aj_old;
 }
 
 PairBox ExactPairBox(double ai_old, double aj_old, double yi, double yj,
@@ -92,7 +68,6 @@ size_t SelectWss2J(const float* row_i, const float* diag,
   // (the constant factor 2 in the paper's gain is argmax-invariant).
   // Strict > keeps the first maximum, so equal-gain candidates resolve
   // to the lowest original index.
-  constexpr double kTau = 1e-12;
   double best_gain = -std::numeric_limits<double>::infinity();
   size_t best = std::numeric_limits<size_t>::max();
   for (size_t k = 0; k < active_count; ++k) {
@@ -200,43 +175,26 @@ struct Solver {
     return true;
   }
 
-  /// Analytic two-variable update (Platt's step, LIBSVM's exact box
-  /// clipping via ExactPairBox). Returns false if no progress.
-  bool UpdatePair(size_t i, size_t j) {
-    if (i == j) return false;
+  /// Analytic two-variable update (LIBSVM's step): aj moves by
+  /// yj (Ei - Ej) / max(eta, tau) and is clipped to the exact box
+  /// (ExactPairBox). SelectPair hands over i in I_up and a strictly
+  /// violating j in I_low, so the box has room in the descent direction
+  /// and every call moves the pair.
+  void UpdatePair(size_t i, size_t j) {
     const double yi = y[i], yj = y[j];
     const double ai_old = alpha[i], aj_old = alpha[j];
     const PairBox box = ExactPairBox(ai_old, aj_old, yi, yj, cfg.C);
-    if (box.lo >= box.hi) return false;
+    assert(i != j && box.lo < box.hi);
 
-    // Probe the three kernel entries the step-size computation needs as
-    // single O(d) evaluations (bit-identical to the row entries) so a
-    // no-progress probe — a box-clipped pair here, or the stuck-pair
-    // fallback scan below — never pays for full row fetches.
-    const double kii = rows.At(i, i), kjj = rows.At(j, j),
-                 kij = rows.At(i, j);
-    const double eta = kii + kjj - 2.0 * kij;
-    double aj_new;
-    if (eta > 1e-12) {
-      aj_new = aj_old + yj * (error[i] - error[j]) / eta;
-      aj_new = std::clamp(aj_new, box.lo, box.hi);
-    } else {
-      // Degenerate curvature (duplicate or near-duplicate rows): the
-      // pair objective is linear or concave along the constraint line,
-      // so evaluate it at both clipped ends and take the lower (Platt).
-      aj_new = DegenerateEndpointAj(box.lo, box.hi, ai_old, aj_old, yi,
-                                    yj, error[i], error[j], bias, kii,
-                                    kjj, kij);
-    }
-    if (std::abs(aj_new - aj_old) < 1e-12 * (aj_new + aj_old + 1e-12)) {
-      return false;
-    }
-
-    // Committed: fetch both kernel rows for the error-cache refresh (a
-    // row source keeps row i valid across the fetch of row j).
+    // Row i is the one SelectPair just fetched, so this is a cache hit;
+    // a row source keeps it valid across the fetch of row j.
     const float* gi = rows.Row(i);
     const float* gj = rows.Row(j);
-
+    const double kii = rows.Diag()[i], kjj = rows.Diag()[j];
+    const double kij = gi[j];
+    const double eta = std::max(kii + kjj - 2.0 * kij, kTau);
+    const double aj_new = std::clamp(
+        aj_old + yj * (error[i] - error[j]) / eta, box.lo, box.hi);
     const double ai_new = box.PartnerAi(aj_new);
     alpha[i] = ai_new;
     alpha[j] = aj_new;
@@ -266,7 +224,6 @@ struct Solver {
       const size_t t = static_cast<size_t>(active[k]);
       error[t] += di * gi[t] + dj * gj[t] + delta_b;
     }
-    return true;
   }
 
   /// Reconstructs the full error cache and reactivates every point.
@@ -337,21 +294,6 @@ struct Solver {
       rows.RestrictActive(active.data(), active.size());
     }
   }
-
-  /// Rescue for a blocked selected pair: try other partners for each
-  /// end over the active set before giving up.
-  bool FallbackScan(size_t i, size_t j) {
-    bool progressed = false;
-    for (size_t k = 0; k < active.size() && !progressed; ++k) {
-      const size_t t = static_cast<size_t>(active[k]);
-      if (t != i && t != j) progressed = UpdatePair(i, t);
-    }
-    for (size_t k = 0; k < active.size() && !progressed; ++k) {
-      const size_t t = static_cast<size_t>(active[k]);
-      if (t != i && t != j) progressed = UpdatePair(t, j);
-    }
-    return progressed;
-  }
 };
 
 }  // namespace
@@ -414,25 +356,7 @@ Result<SmoSolution> SolveSmo(KernelRowSource& rows,
         break;
       }
     }
-    if (!solver.UpdatePair(i, j)) {
-      // The selected pair can be blocked by box clipping under float
-      // rounding. Try other partners before giving up (LIBSVM shrinks
-      // instead; a linear fallback scan is enough at our problem sizes).
-      if (!solver.FallbackScan(i, j)) {
-        if (solver.shrunk) {
-          // Points outside the active set may unblock the pair. Delay
-          // the next shrink by a full period — an immediate re-shrink
-          // would deterministically re-drop the same points before the
-          // full set was ever scanned, looping unshrink/shrink until
-          // the iteration budget burned out.
-          solver.Unshrink();
-          shrink_counter = shrink_period;
-          continue;
-        }
-        // Numerically stuck: accept the current iterate.
-        break;
-      }
-    }
+    solver.UpdatePair(i, j);
   }
   // A shrunk final iterate (iteration budget exhausted) still reports
   // authoritative alpha/bias, but the caller-owned row source must not

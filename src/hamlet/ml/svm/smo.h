@@ -2,19 +2,21 @@
 //
 // Solves   min_a  1/2 sum_ij a_i a_j y_i y_j K_ij - sum_i a_i
 //          s.t.   0 <= a_i <= C,  sum_i a_i y_i = 0
-// using Platt-style pairwise updates with an error cache maintained over
-// an active set. Working-set selection is LIBSVM-style second-order
-// (WSS2): i maximises the gradient violation over I_up, j maximises the
-// quadratic gain (G_i - G_j)^2 / max(eta, tau) over the violating I_low
+// using pairwise updates with an error cache maintained over an active
+// set. Working-set selection is LIBSVM-style second-order (WSS2): i
+// maximises the gradient violation over I_up, j maximises the quadratic
+// gain (G_i - G_j)^2 / max(eta, tau) over the violating I_low
 // candidates, using the cached kernel diagonal plus the single kernel row
-// for i. The pair update clips with LIBSVM's exact rule (ExactPairBox):
-// a step that lands on a box end puts both alphas exactly on 0, C or the
-// pair's rounded invariant, so a bound point never reads as free and
-// stalls the working set. Shrinking periodically deactivates
-// bound-pinned points whose gradients cannot re-enter the working set;
-// before convergence is declared the solver reconstructs the full
-// gradient and unshrinks, so the returned solution is tolerance-exact on
-// the full problem.
+// for i. The pair update is LIBSVM's: aj steps by
+// y_j (E_i - E_j) / max(eta, tau) and is clipped with the exact rule
+// (ExactPairBox), so a step that lands on a box end puts both alphas
+// exactly on 0, C or the pair's rounded invariant. Every selected pair
+// moves (duplicate rows, eta = 0, take the tau-scaled step to a box
+// end), so the loop ends only at convergence or at the iteration
+// budget. Shrinking periodically deactivates bound-pinned points whose
+// gradients cannot re-enter the working set; before convergence is
+// declared the solver reconstructs the full gradient and unshrinks, so
+// the returned solution is tolerance-exact on the full problem.
 //
 // Kernel rows are supplied by a KernelRowSource — in production the lazy
 // LRU KernelCache (see kernel_cache.h); tests substitute dense fakes. The
@@ -60,7 +62,7 @@ struct SmoSolution {
   /// Shrink passes that deactivated at least one point.
   size_t shrink_events = 0;
   /// Full-gradient reconstructions (the aggressive 10x-tolerance
-  /// unshrink, the final pre-convergence check, and stuck-pair rescues).
+  /// unshrink and the pre-convergence checks of a shrunk active set).
   size_t unshrink_events = 0;
 };
 
@@ -91,18 +93,9 @@ class KernelRowSource {
  public:
   virtual ~KernelRowSource() = default;
   virtual const float* Row(size_t i) = 0;
-  /// Single entry K(x_i, x_j), bit-identical to Row(i)[j], without
-  /// fetching (or evicting) whole rows and without touching the
-  /// hit/miss counters. The solver probes kii/kjj/kij through this
-  /// before committing to the two full-row fetches an update needs, so
-  /// no-progress probes (box-clipped pairs, the stuck-pair fallback
-  /// scan) stay O(d) instead of recomputing rows under a tight cache.
-  /// While an active restriction is installed, both i and j must be
-  /// restricted indices.
-  virtual float At(size_t i, size_t j) const = 0;
   /// The n diagonal entries K(x_t, x_t), bit-identical to Row(t)[t].
   /// Stable for the lifetime of the source; WSS2 reads eta candidates
-  /// from here without fetching rows.
+  /// and the pair step reads kii/kjj from here without fetching rows.
   virtual const float* Diag() const = 0;
   /// Problem size n (rows are n floats).
   virtual size_t size() const = 0;
@@ -124,19 +117,6 @@ class KernelRowSource {
   virtual uint64_t hits() const { return 0; }
   virtual uint64_t misses() const { return 0; }
 };
-
-/// Platt's endpoint-objective rule for a degenerate-curvature pair
-/// (eta = kii + kjj - 2*kij <= 0): evaluates the pair-restricted dual
-/// objective at both clipped box ends and returns the aj value of the
-/// lower one — lo, hi, or aj_old when the two ends tie (no progress).
-/// The gradient-sign heuristic this replaces can pick the worse end when
-/// eta < 0 (near-duplicate rows under float rounding): the local descent
-/// direction of a concave parabola need not point at the lower endpoint.
-/// Exposed for direct unit testing.
-double DegenerateEndpointAj(double lo, double hi, double ai_old,
-                            double aj_old, double yi, double yj,
-                            double error_i, double error_j, double bias,
-                            double kii, double kjj, double kij);
 
 /// The feasible segment of one pair update under LIBSVM's exact
 /// clipping. The equality constraint ties ai to aj; aj ranges over
@@ -176,7 +156,8 @@ struct PairBox {
 ///                              hi: (sum - C, C)
 ///                   sum <= C:  lo: (sum, 0)
 ///                              hi: (0, sum)
-/// lo >= hi means the pair cannot move. Exposed for direct unit testing.
+/// lo < hi whenever ai is in I_up and aj in I_low, as in every pair the
+/// solver selects. Exposed for direct unit testing.
 PairBox ExactPairBox(double ai_old, double aj_old, double yi, double yj,
                      double C);
 

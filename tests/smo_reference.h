@@ -3,7 +3,10 @@
 // production KernelCache runs), a KernelRowSource fake over that matrix,
 // and a plain first-order SMO that the production solver (second-order
 // working-set selection + shrinking over a lazy row cache) is checked
-// against. None of this is library code: the production fit path always
+// against. The oracle keeps Platt's pair step — endpoint evaluation for
+// degenerate curvature and a rescue scan for refused pairs — where
+// production takes LIBSVM's tau-clamped step, so the two solvers share no
+// step code. None of this is library code: the production fit path always
 // runs ml::SolveSmo over an ml::KernelCache.
 
 #ifndef HAMLET_TESTS_SMO_REFERENCE_H_
@@ -59,7 +62,6 @@ class FullGramRowSource : public ml::KernelRowSource {
     ++hits_;
     return gram_.data() + i * n_;
   }
-  float At(size_t i, size_t j) const override { return gram_[i * n_ + j]; }
   const float* Diag() const override { return diag_.data(); }
   size_t size() const override { return n_; }
   uint64_t hits() const override { return hits_; }
@@ -79,6 +81,43 @@ inline Result<ml::SmoSolution> SolveSmoOnGram(const std::vector<float>& gram,
   return ml::SolveSmo(rows, y, config);
 }
 
+/// Platt's endpoint-objective rule for a degenerate-curvature pair
+/// (eta = kii + kjj - 2*kij <= 0): evaluates the pair-restricted dual
+/// objective at both clipped box ends and returns the aj value of the
+/// lower one — lo, hi, or aj_old when the two ends tie (no progress).
+/// The gradient-sign heuristic this replaces can pick the worse end when
+/// eta < 0 (near-duplicate rows under float rounding): the local descent
+/// direction of a concave parabola need not point at the lower endpoint.
+inline double DegenerateEndpointAj(double lo, double hi, double ai_old,
+                                   double aj_old, double yi, double yj,
+                                   double error_i, double error_j,
+                                   double bias, double kii, double kjj,
+                                   double kij) {
+  // Pair-restricted dual objective (others fixed, constants dropped):
+  //   psi(a1, a2) = 1/2 kii a1^2 + 1/2 kjj a2^2 + s kij a1 a2
+  //                 + f1 a1 + f2 a2
+  // with a1 tied to a2 by the equality constraint. f1/f2 follow Platt's
+  // pseudocode (§12.2.1) with the bias sign flipped for our f = sum + b
+  // convention (Platt uses u = w.x - b).
+  const double s = yi * yj;
+  const double f1 = yi * (error_i - bias) - ai_old * kii - s * aj_old * kij;
+  const double f2 = yj * (error_j - bias) - s * ai_old * kij - aj_old * kjj;
+  const double l1 = ai_old + s * (aj_old - lo);
+  const double h1 = ai_old + s * (aj_old - hi);
+  const double lobj = 0.5 * l1 * l1 * kii + 0.5 * lo * lo * kjj +
+                      s * lo * l1 * kij + l1 * f1 + lo * f2;
+  const double hobj = 0.5 * h1 * h1 * kii + 0.5 * hi * hi * kjj +
+                      s * hi * h1 * kij + h1 * f1 + hi * f2;
+  // Minimise; a tie within rounding noise means no progress at either
+  // end, so stay put (the caller's no-movement check then returns false
+  // instead of shuffling mass between equivalent iterates).
+  const double eps =
+      1e-12 * (std::abs(lobj) + std::abs(hobj) + 1.0);
+  if (lobj < hobj - eps) return lo;
+  if (hobj < lobj - eps) return hi;
+  return aj_old;
+}
+
 /// Result of ReferenceSmo.
 struct ReferenceSolution {
   std::vector<double> alpha;
@@ -91,8 +130,8 @@ struct ReferenceSolution {
 /// maximal violating pair (Keerthi et al.), with Platt's analytic step,
 /// LIBSVM's exact box clipping (written out here, independently of
 /// ml::ExactPairBox), endpoint evaluation for eta <= 1e-12
-/// (ml::DegenerateEndpointAj), and a linear rescue scan when box
-/// clipping blocks the pair. No shrinking, no cache. Labels must be
+/// (DegenerateEndpointAj), and a linear rescue scan when box clipping
+/// blocks the pair. No shrinking, no cache. Labels must be
 /// -1/+1 with both classes present.
 inline ReferenceSolution ReferenceSmo(const std::vector<float>& gram,
                                       const std::vector<int8_t>& y,
@@ -136,9 +175,8 @@ inline ReferenceSolution ReferenceSmo(const std::vector<float>& gram,
     const double aj_new =
         eta > 1e-12
             ? std::clamp(aj_old + yj * (error[i] - error[j]) / eta, lo, hi)
-            : ml::DegenerateEndpointAj(lo, hi, ai_old, aj_old, yi, yj,
-                                       error[i], error[j], bias, kii, kjj,
-                                       kij);
+            : DegenerateEndpointAj(lo, hi, ai_old, aj_old, yi, yj,
+                                   error[i], error[j], bias, kii, kjj, kij);
     if (std::abs(aj_new - aj_old) < 1e-12 * (aj_new + aj_old + 1e-12)) {
       return false;
     }

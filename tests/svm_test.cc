@@ -5,14 +5,22 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <set>
+#include <vector>
 
 #include "hamlet/common/rng.h"
+#include "hamlet/core/experiment.h"
+#include "hamlet/core/variants.h"
+#include "hamlet/data/code_matrix.h"
 #include "hamlet/data/dataset.h"
+#include "hamlet/data/split.h"
 #include "hamlet/data/view.h"
 #include "hamlet/ml/metrics.h"
 #include "hamlet/ml/svm/kernel.h"
+#include "hamlet/ml/svm/kernel_cache.h"
 #include "hamlet/ml/svm/smo.h"
 #include "hamlet/ml/svm/svm.h"
+#include "hamlet/synth/realworld.h"
 #include "parity_util.h"
 #include "smo_reference.h"
 
@@ -236,7 +244,56 @@ TEST(SmoReferenceTest, ConvergedOptimumMatchesProductionSolver) {
   }
 }
 
+TEST(SmoReferenceTest, DuplicateHeavyRealWorldTrainingSetMatchesReference) {
+  // The synthetic problems above never repeat a row. Real training sets
+  // do: the capped LastFM NoJoin set (scale 0.5, the tables' split seed
+  // spec.seed + 991) has d = 2 and 937 distinct rows of 1,200, so many
+  // pairs have eta = 0 and WSS2 picks them as partners. Production must
+  // step those pairs and reach the reference optimum.
+  auto spec = synth::RealWorldSpecByName("LastFM", 0.5);
+  ASSERT_TRUE(spec.ok());
+  const StarSchema star = synth::GenerateRealWorld(spec.value());
+  Result<core::PreparedData> prepared =
+      core::Prepare(star, spec.value().seed + 991,
+                    synth::RealWorldJoinOptions(spec.value()));
+  ASSERT_TRUE(prepared.ok());
+  const Dataset& data = prepared.value().data;
+  const SplitViews views = MakeSplitViews(
+      data, prepared.value().split,
+      core::SelectVariant(data, core::FeatureVariant::kNoJoin));
+  CodeMatrix train(views.train, 1200);
+  const size_t n = train.num_rows(), d = train.num_features();
+  ASSERT_EQ(n, 1200u);
+  ASSERT_EQ(d, 2u);
+  std::set<std::vector<uint32_t>> distinct;
+  for (size_t i = 0; i < n; ++i) {
+    distinct.emplace(train.row(i), train.row(i) + d);
+  }
+  ASSERT_EQ(distinct.size(), 937u);
+
+  std::vector<int8_t> y(n);
+  for (size_t i = 0; i < n; ++i) y[i] = train.label(i) == 1 ? 1 : -1;
+  const KernelConfig kc{KernelType::kLinear, 0.0, 2};
+  const std::vector<float> gram = ReferenceGram(kc, train.codes(), n, d);
+  SmoConfig cfg;
+  cfg.C = 0.1;
+  cfg.max_iterations = 200000;
+  const test::ReferenceSolution ref = test::ReferenceSmo(gram, y, cfg);
+  KernelCache cache(std::move(train), kc);
+  Result<SmoSolution> prod = SolveSmo(cache, y, cfg);
+  ASSERT_TRUE(prod.ok());
+  ASSERT_TRUE(ref.converged);
+  EXPECT_TRUE(prod.value().converged);
+  const double f_ref = DualObjective(gram, y, ref.alpha);
+  const double f_prod = DualObjective(gram, y, prod.value().alpha);
+  EXPECT_NEAR(f_prod, f_ref, 1e-6 * std::abs(f_ref));
+}
+
 // ------------------------------------------- degenerate-curvature update --
+//
+// The production step never needs an endpoint rule (it clamps eta below
+// by tau and clips), but the ReferenceSmo oracle keeps Platt's, so these
+// cases pin the oracle's test::DegenerateEndpointAj.
 
 /// Independent evaluation of the pair-restricted dual objective
 ///   psi(a1, a2) = 1/2 k11 a1^2 + 1/2 k22 a2^2 + s k12 a1 a2
@@ -245,7 +302,7 @@ TEST(SmoReferenceTest, ConvergedOptimumMatchesProductionSolver) {
 /// from the error-cache values the same way the solver sees them:
 ///   v1 = (E1 + y1) - b - a1_old y1 k11 - a2_old y2 k12.
 /// This re-derives the objective from the dual definition, independently
-/// of the f1/f2 algebra inside DegenerateEndpointAj.
+/// of the f1/f2 algebra inside test::DegenerateEndpointAj.
 double PairObjective(double a1, double a2, double y1, double y2, double k11,
                      double k22, double k12, double v1, double v2) {
   return 0.5 * k11 * a1 * a1 + 0.5 * k22 * a2 * a2 + y1 * y2 * k12 * a1 * a2 +
@@ -266,8 +323,8 @@ TEST(SmoDegenerateTest, PicksLowerObjectiveEndNotGradientSign) {
   const double lo = 0.0, hi = 0.8;  // C = 1, same-label box
   const double e = -0.4, bias = 0.25;  // Ei == Ej for duplicates
 
-  const double chosen = DegenerateEndpointAj(lo, hi, ai_old, aj_old, yi, yj,
-                                             e, e, bias, kii, kjj, kij);
+  const double chosen = test::DegenerateEndpointAj(
+      lo, hi, ai_old, aj_old, yi, yj, e, e, bias, kii, kjj, kij);
   EXPECT_EQ(chosen, hi);
 
   // Independent check that hi really is the lower-objective end (and
@@ -285,10 +342,10 @@ TEST(SmoDegenerateTest, PicksLowerObjectiveEndNotGradientSign) {
 
 TEST(SmoDegenerateTest, TiedEndsStayPut) {
   // Exact duplicates (eta = 0) with equal errors: the objective is
-  // constant along the segment, so the update must report no progress
-  // (return aj_old) instead of shuffling mass to an arbitrary end.
+  // constant along the segment, so the oracle's update must report no
+  // progress (return aj_old) instead of shuffling mass to an arbitrary end.
   const double aj_old = 0.3;
-  const double chosen = DegenerateEndpointAj(
+  const double chosen = test::DegenerateEndpointAj(
       /*lo=*/0.0, /*hi=*/0.8, /*ai_old=*/0.5, aj_old, /*yi=*/1.0,
       /*yj=*/1.0, /*error_i=*/-0.4, /*error_j=*/-0.4, /*bias=*/0.25,
       /*kii=*/1.0, /*kjj=*/1.0, /*kij=*/1.0);
@@ -301,12 +358,14 @@ TEST(SmoDegenerateTest, LinearCaseAgreesWithGradientSign) {
   // (the regime where the old heuristic was already correct).
   const double lo = 0.0, hi = 0.8;
   // yj*(Ei - Ej) > 0 -> hi under the old rule.
-  EXPECT_EQ(DegenerateEndpointAj(lo, hi, 0.5, 0.3, 1.0, 1.0, /*error_i=*/0.4,
-                                 /*error_j=*/-0.4, 0.0, 1.0, 1.0, 1.0),
+  EXPECT_EQ(test::DegenerateEndpointAj(lo, hi, 0.5, 0.3, 1.0, 1.0,
+                                       /*error_i=*/0.4, /*error_j=*/-0.4, 0.0,
+                                       1.0, 1.0, 1.0),
             hi);
   // yj*(Ei - Ej) < 0 -> lo.
-  EXPECT_EQ(DegenerateEndpointAj(lo, hi, 0.5, 0.3, 1.0, 1.0, /*error_i=*/-0.4,
-                                 /*error_j=*/0.4, 0.0, 1.0, 1.0, 1.0),
+  EXPECT_EQ(test::DegenerateEndpointAj(lo, hi, 0.5, 0.3, 1.0, 1.0,
+                                       /*error_i=*/-0.4, /*error_j=*/0.4, 0.0,
+                                       1.0, 1.0, 1.0),
             lo);
 }
 
